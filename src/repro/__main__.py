@@ -28,14 +28,6 @@ Commands
 ``verify``
     Run the real-numerics headline checks (NPB EP/CG class S official
     verification, HPL residual, FFT parity, Sedov exponent).
-``bench [--quick] [--tier engine|ecm|grid|all] [--out PATH]``
-    Time the prediction tiers (cold seed scheduler, event-driven fast
-    path, batched SoA engine, warm schedule cache, parallel sweep,
-    analytical ECM evaluation, and the ``grid`` tier's >=512-point
-    mixed-tier sweep with sharded batches and vectorized ECM) over the
-    Fig. 1/2 kernel set and write ``BENCH_engine.json``; the full run
-    exits non-zero if equivalence or a speedup floor regresses (see
-    docs/PERFORMANCE.md).
 ``serve [--stdin] [--host H] [--port N] [--batch-window MS] [--max-batch N] [--workers N]``
     Run the persistent prediction server: JSON requests over a local
     socket (default; binds 127.0.0.1 and prints the address) or
@@ -43,11 +35,6 @@ Commands
     ``repro.serve/1`` responses.  Concurrent requests coalesce into
     micro-batches over the shared schedule/compile caches; identical
     in-flight requests deduplicate (see docs/SERVING.md).
-``serve-bench [--quick] [--out PATH]``
-    Measure serve throughput against a no-reuse one-request-at-a-time
-    baseline at several concurrency levels and write
-    ``BENCH_serve.json``; exits non-zero if the speedup floor is
-    breached or any batched response deviates from the baseline.
 ``cache [show|clear] [--json]``
     Inspect or drop the content-addressed schedule and compile caches
     (clears the schedule cache's on-disk layer too when
@@ -293,12 +280,6 @@ def _cmd_verify() -> int:
     return 1 if failures else 0
 
 
-def _cmd_bench(args: list[str]) -> int:
-    from repro.bench.enginebench import main as bench_main
-
-    return bench_main(args)
-
-
 def _parse_serve_flags(args: list[str]) -> dict:
     """Parse ``serve`` flags -> option dict (raises ValueError)."""
     opts: dict = {"stdin": False, "host": "127.0.0.1", "port": 0,
@@ -364,12 +345,6 @@ def _cmd_serve(args: list[str]) -> int:
             except KeyboardInterrupt:
                 pass
     return 0
-
-
-def _cmd_serve_bench(args: list[str]) -> int:
-    from repro.serve.bench import main as serve_bench_main
-
-    return serve_bench_main(args)
 
 
 def _cmd_cache(args: list[str]) -> int:
@@ -725,9 +700,7 @@ COMMANDS: dict[str, tuple[bool, object]] = {
     "profile": (True, _cmd_profile),
     "ecm": (True, _cmd_ecm),
     "verify": (False, _cmd_verify),
-    "bench": (True, _cmd_bench),
     "serve": (True, _cmd_serve),
-    "serve-bench": (True, _cmd_serve_bench),
     "cache": (True, _cmd_cache),
     "validate": (True, _cmd_validate),
     "sweep": (True, _cmd_sweep),
@@ -791,39 +764,8 @@ def parse_command(argv: list[str]) -> str | None:
             raise ValueError(f"unknown kernel {positional[0]!r}")
         if len(positional) == 2 and positional[1].lower() not in TOOLCHAINS:
             raise ValueError(f"unknown toolchain {positional[1]!r}")
-    elif cmd == "bench":
-        i = 0
-        while i < len(rest):
-            if rest[i] == "--quick":
-                i += 1
-            elif rest[i] == "--out":
-                if i + 1 >= len(rest):
-                    raise ValueError("--out expects a path")
-                i += 2
-            elif rest[i] == "--tier":
-                if i + 1 >= len(rest):
-                    raise ValueError("--tier expects a value")
-                if rest[i + 1] not in ("engine", "ecm", "grid", "all"):
-                    raise ValueError(
-                        f"unknown tier {rest[i + 1]!r} "
-                        f"(expected engine, ecm, grid or all)")
-                i += 2
-            else:
-                raise ValueError(f"unknown bench argument {rest[i]!r}")
     elif cmd == "serve":
         _parse_serve_flags(rest)
-    elif cmd == "serve-bench":
-        i = 0
-        while i < len(rest):
-            if rest[i] == "--quick":
-                i += 1
-            elif rest[i] == "--out":
-                if i + 1 >= len(rest):
-                    raise ValueError("--out expects a path")
-                i += 2
-            else:
-                raise ValueError(
-                    f"unknown serve-bench argument {rest[i]!r}")
     elif cmd == "cache":
         actions = [a for a in rest if a != "--json"]
         if actions and (len(actions) > 1
@@ -882,12 +824,8 @@ def main(argv: list[str]) -> int:
         return _cmd_ecm(rest)
     if cmd == "verify":
         return _cmd_verify()
-    if cmd == "bench":
-        return _cmd_bench(rest)
     if cmd == "serve":
         return _cmd_serve(rest)
-    if cmd == "serve-bench":
-        return _cmd_serve_bench(rest)
     if cmd == "cache":
         return _cmd_cache(rest)
     if cmd == "validate":

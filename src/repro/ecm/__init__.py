@@ -1,12 +1,13 @@
 """Analytical ECM prediction tier (Execution-Cache-Memory model).
 
-The repository predicts kernel runtimes at three speeds:
+The repository predicts kernel runtimes at two speeds, each checked
+against the frozen seed scheduler (:mod:`repro.engine._reference`):
 
-1. **full simulation** — ``PipelineScheduler(march, extrapolate=False)``
-   grinds through every issue slot (the golden reference);
-2. **fast engine** — the event-driven scheduler with steady-state
-   period detection plus the schedule cache;
-3. **this package** — no simulation at all: closed-form ``T_comp`` from
+1. **the engine** — cycle-level simulation of the loop body
+   (:mod:`repro.engine.batch`, with steady-state period detection, in
+   front of the schedule cache); ``PipelineScheduler(march,
+   extrapolate=False)`` steps every iteration instead;
+2. **this package** — no simulation at all: closed-form ``T_comp`` from
    the instruction mix against the port/issue/latency tables
    (:mod:`repro.ecm.incore`), closed-form ``T_data`` from per-boundary
    cacheline traffic against documented bandwidths

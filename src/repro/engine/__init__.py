@@ -1,21 +1,23 @@
 """The performance engine: pipeline scheduling, roofline composition,
 single-kernel execution, and the OpenMP-like threading model.
 
-* :mod:`repro.engine.scheduler` — replays an abstract instruction stream
-  against a :class:`~repro.machine.microarch.Microarch` and reports
-  steady-state cycles/iteration (the quantity behind every
-  "cycles per element" number in the paper); event-driven with
-  steady-state period extrapolation.
-* :mod:`repro.engine.batch` — batched structure-of-arrays scheduling:
-  many (march, stream, window) points deduplicated and simulated as one
-  int-indexed array program, bit-identical to the scalar path
-  (``schedule_batch``); sweeps of ≥ ``BATCH_MIN_POINTS`` engine points
-  ride on it automatically.
+* :mod:`repro.engine.scheduler` — the scheduling front end:
+  ``PipelineScheduler`` / ``schedule_on`` replay an abstract instruction
+  stream against a :class:`~repro.machine.microarch.Microarch` and
+  report steady-state cycles/iteration (the quantity behind every
+  "cycles per element" number in the paper).
+* :mod:`repro.engine.batch` — the one simulator behind every schedule:
+  event-driven lanes with steady-state period extrapolation, stepped as
+  a deduplicated structure-of-arrays batch (``schedule_batch``); a
+  single point is a batch of one.
+* :mod:`repro.engine.trace` — issue traces and pipeline diagrams from a
+  recording lane.
 * :mod:`repro.engine.cache` — content-addressed schedule cache
   (in-process LRU plus an opt-in on-disk JSON layer) keyed on march and
   stream fingerprints.
-* :mod:`repro.engine.sweep` — parallel sweep runner with exact
-  profiling-counter merging (``map_schedules`` / ``run_sweep``).
+* :mod:`repro.engine.sweep` — batched sweep runner and a parallel map
+  with exact profiling-counter merging (``run_sweep`` /
+  ``map_schedules``).
 * :mod:`repro.engine.roofline` — peak/bandwidth ceilings and arithmetic
   intensity helpers.
 * :mod:`repro.engine.executor` — combines compute cycles with memory-

@@ -1,10 +1,55 @@
-"""Batched structure-of-arrays scheduling engine.
+"""The scheduling engine: one greedy bounded-window simulator, batched.
 
-Sweeping the paper's figures means scheduling many independent
-(stream, toolchain, machine) points; the event-driven scheduler
-(:mod:`repro.engine.scheduler`) simulates them one at a time through
-enum-keyed dicts and a single ready heap.  This module schedules a whole
-batch as one array program:
+Every schedule in the reproduction is stepped here —
+:meth:`~repro.engine.scheduler.PipelineScheduler.steady_state`,
+:func:`~repro.engine.scheduler.schedule_on`,
+:func:`~repro.engine.cache.cached_schedule`,
+:func:`~repro.engine.trace.capture_trace`, :func:`schedule_batch` and
+:func:`~repro.engine.shard.schedule_batch_sharded` all run the
+:class:`_Lane` defined below; a single point is a batch of one.
+
+The issue model — stated once, accurately (DESIGN.md and
+docs/ARCHITECTURE.md point here): **greedy bounded-window out-of-order
+issue with in-order retire**.  Instructions issue out of program order,
+oldest-ready first, from a reorder window of ``window`` dynamic
+instructions behind the in-order retire pointer; up to ``issue_width``
+issue per cycle.  It is *not* a pure in-order dual-pipe model (younger
+independent instructions overtake stalled older ones inside the window)
+and not an unbounded out-of-order model (the window and in-order retire
+bound how far ahead the core can look — the mechanism that makes
+un-unrolled 9-cycle FMA chains cost what the paper measures).
+
+* each dynamic instruction becomes ready when all of its sources have
+  completed (register dataflow; loop-carried sources resolve to the
+  previous iteration's value);
+* each cycle, up to ``issue_width`` ready instructions from the oldest
+  ``window`` un-issued instructions are issued to free pipes, each to
+  the candidate pipe with the smallest backlog (first in canonical pipe
+  order on ties);
+* a pipe stays busy for the op's reciprocal throughput — which equals the
+  full latency for blocking ops such as the A64FX ``FSQRT`` (the mechanism
+  behind the 20x sqrt gap of Section III);
+* results appear ``latency`` cycles after issue.
+
+Two devices make the simulation cheap without changing a single result
+(golden equivalence against the preserved seed implementation in
+:mod:`repro.engine._reference` is enforced by
+``tests/engine/test_golden_equivalence.py``):
+
+* **event-driven time advance** — ready heaps plus per-pipe free times
+  replace a per-cycle window scan; a cycle in which nothing issues jumps
+  straight to the stall horizon, the next cycle at which a stalled
+  instruction can issue or the reorder-buffer head retires;
+* **steady-state period detection** — once the relative schedule state
+  (issue offsets and pipe backlogs modulo the current cycle) repeats
+  between iterations of the retire pointer, the lane fast-forwards
+  whole periods and resimulates only the tail, instead of grinding
+  through all ``WARMUP_ITERS + MEASURE_ITERS`` iterations.  Recording
+  lanes (schedule observers, issue traces, ``extrapolate=False``) keep
+  it off, so every issue is observed.
+
+Scheduling many independent (stream, toolchain, machine) points adds
+batch-level structure on top:
 
 * **precompiled int-indexed tables** — per (march, body) the latencies,
   reciprocal throughputs, pipe-candidate sets and dataflow edges are
@@ -15,35 +60,33 @@ batch as one array program:
   (march, stream, window) fingerprints simulate once and fan results
   back out per request (different toolchains frequently emit identical
   streams for the same loop);
-* **array-stepped lanes** — each unique point is a `_Lane` advanced in
-  bounded super-steps under a numpy active mask; lanes whose
-  steady-state period detection fires fast-forward and retire from the
-  batch early, so one slow lane never serializes the rest;
+* **array-stepped lanes** — each unique point is a :class:`_Lane`
+  advanced in bounded super-steps under a numpy active mask; lanes
+  whose period detection fires fast-forward and retire from the batch
+  early, so one slow lane never serializes the rest;
 * **class-partitioned ready heaps** — ready instructions are grouped by
   pipe-candidate class; once a class has no pipe free this cycle it is
-  skipped wholesale instead of re-popping and re-blocking each member
-  (the dominant cost of the scalar path on pipe-bound kernels);
+  skipped wholesale instead of re-popping and re-blocking each member;
 * **vectorized finalization** — steady-state statistics for all lanes
   (cycles/iter, occupancy, makespan) are computed with numpy in one
   shot.
 
-Exactness contract: the batched path issues the *identical* dynamic
-instruction sequence as :class:`~repro.engine.scheduler.PipelineScheduler`
-— same issue cycles, same pipe choices (the pipe-candidate order of each
-class is the canonical ``_canon_pipes`` order the scalar ``_best_pipe``
-walks), same period detection keys and fast-forward shifts — and
-therefore bit-identical :class:`~repro.engine.scheduler.ScheduleResult`
-fields and ``pipeline.*`` counter payloads
-(``tests/engine/test_batch.py`` enforces this against both the
-event-driven path and the frozen seed oracle in
-:mod:`repro.engine._reference`).
+Exactness contract: every lane issues the dynamic instruction sequence
+of the seed scheduler — same issue cycles, same pipe choices — so its
+:class:`~repro.engine.scheduler.ScheduleResult` and ``pipeline.*``
+counters match :mod:`repro.engine._reference` (busy-cycle sums may
+differ in the last bit where period detection multiplies a period's
+busy time instead of summing it; compared at 1e-9).  Whatever the batch
+composition, deduplication or sharding, a lane's result and counter
+payload are bit-identical (``tests/engine/test_batch.py``,
+``tests/engine/test_golden_equivalence.py`` and
+``tests/engine/test_trace.py`` enforce both).
 
-The schedule cache (:mod:`repro.engine.cache`) sits in front exactly as
-it does for ``schedule_on``: batch requests look up, store and re-emit
-the same entries and ``schedule_cache.hits``/``misses`` counters a
-sequential run would.  Deduplicated duplicate requests behave like
-cache hits (replayed, not re-simulated, hence not re-observed by
-schedule observers).
+The schedule cache (:mod:`repro.engine.cache`) sits in front: batch
+requests look up, store and re-emit the same entries and
+``schedule_cache.hits``/``misses`` counters a one-at-a-time run would.
+Deduplicated duplicate requests behave like cache hits (replayed, not
+re-simulated, hence not re-observed by schedule observers).
 """
 
 from __future__ import annotations
@@ -93,9 +136,9 @@ class _StreamTables:
     reciprocal throughput (overrides resolved).  Positions are grouped
     into *pipe-candidate classes*: ``cls_of[pos]`` names the class and
     ``class_pipes[c]`` is the candidate pipe-id tuple, in the canonical
-    ``_canon_pipes`` order the scalar scheduler's ``_best_pipe`` walks —
-    so tie-breaking between equally-free pipes is bit-identical on any
-    hash seed and across process boundaries (shard workers rebuild the
+    ``_canon_pipes`` order pipe selection walks — so tie-breaking
+    between equally-free pipes is reproducible on any hash seed and
+    across process boundaries (shard workers rebuild the
     same tables from pickled requests).  ``deps``/``consumers`` come
     from the memoized static dataflow.
     """
@@ -233,12 +276,12 @@ def _tables_for(march: Microarch,
 
 
 def clear_tables() -> None:
-    """Drop the precompiled batch tables (cold-path benchmarks).
+    """Drop the precompiled batch tables (cold-path measurements).
 
     Pure cache: clearing changes nothing but the time the next batch
-    takes to rebuild its tables.  ``benchmarks/engine_bench.py`` calls
-    this (plus :func:`repro.engine.scheduler.clear_memos`) before cold
-    timings so memo warm-up cannot flatter them.
+    takes to rebuild its tables.  Together with
+    :func:`repro.engine.scheduler.clear_memos` it returns the engine to
+    a cold start.
     """
     with _TABLES_LOCK:
         _TABLES.clear()
@@ -247,7 +290,18 @@ def clear_tables() -> None:
 # ----------------------------------------------------------------------
 def _state_key(cycle, retire, rob_limit, n_body, issued, completion,
                pending, ready_acc, pipe_free):
-    """Int-pipe port of ``PipelineScheduler._state_key`` (same tuples)."""
+    """Hashable relative state of the in-flight window.
+
+    Two simulation moments with equal keys evolve identically (up to a
+    uniform shift of all times and dynamic indices): the key holds the
+    retire offset within the body, the window extent, every pipe
+    backlog relative to ``cycle``, and per in-flight instruction its
+    issued flag plus completion/ready time relative to ``cycle``.  Past
+    times (<= cycle) are collapsed — they no longer influence issue
+    decisions — except pipe backlogs, where pipe selection breaks ties
+    by comparing raw values: those are encoded by rank so the relative
+    order (all that matters) must recur.
+    """
     parts: list = [retire % n_body, rob_limit - retire]
     past: list[float] = []
     for pf in pipe_free:
@@ -270,11 +324,17 @@ def _fast_forward(prior, k_iter, cycle, n_body, total, window, retire,
                   rob_limit, issued, completion, pending, ready_acc,
                   pipe_free, pipe_busy, pipe_touch, iter_last_issue,
                   waiting, heaps):
-    """Int-pipe port of ``PipelineScheduler._fast_forward``.
+    """Skip whole steady-state periods by shifting the in-flight state.
 
-    Identical arithmetic and shift discipline; the only structural
-    difference is that the ready set lives in per-class heaps, which are
-    shifted in place (a uniform +S shift preserves the heap property).
+    ``prior`` is an earlier snapshot with an identical relative state
+    key; the schedule between the two is one period (``p`` iterations,
+    ``D`` cycles).  The largest number of whole periods that keeps the
+    tail clear of end-of-stream window clamping is skipped; the tail is
+    then resimulated exactly, so end effects and the measured iteration
+    endpoints stay bit-faithful.  The per-class ready heaps are shifted
+    in place (a uniform +S shift preserves the heap property).  Returns
+    the new ``(retire, entered, cycle, skipped_instructions)`` or None
+    when no skip is admissible yet.
     """
     j_iter, c_j, busy_j = prior
     p = k_iter - j_iter
@@ -282,6 +342,9 @@ def _fast_forward(prior, k_iter, cycle, n_body, total, window, retire,
     if p <= 0 or D <= 0.0:
         return None
     r0 = retire % n_body
+    # last iteration the retire pointer may reach with the window still
+    # fully inside the stream (no ROB end-clamping during or right after
+    # the skipped span)
     limit_iter = (total - window - r0) // n_body - 1
     q = (limit_iter - k_iter) // p
     if q <= 0:
@@ -290,6 +353,9 @@ def _fast_forward(prior, k_iter, cycle, n_body, total, window, retire,
     S = m * n_body
     T = q * D
     lo, hi = retire, rob_limit
+    # shift the in-flight slice up by S dynamic instructions and T
+    # cycles; times already in the past stay as-is (they only feed max()
+    # accumulations and <=-cycle comparisons downstream)
     for d in range(hi - 1, lo - 1, -1):
         nd = d + S
         issued[nd] = issued[d]
@@ -298,6 +364,7 @@ def _fast_forward(prior, k_iter, cycle, n_body, total, window, retire,
         pending[nd] = pending[d]
         r = ready_acc[d]
         ready_acc[nd] = r + T if r > cycle else r
+    # the skipped span retires wholesale: issued, completed in the past
     for d in range(lo, lo + S):
         issued[d] = 1
         completion[d] = 0.0
@@ -306,6 +373,8 @@ def _fast_forward(prior, k_iter, cycle, n_body, total, window, retire,
     for h in heaps:
         if h:
             h[:] = [d + S for d in h]
+    # pipes touched within the matched period keep shifting their
+    # backlog; untouched pipes hold absolute (past) values
     for i in range(_N_PIPES):
         if pipe_touch[i] >= c_j:
             pipe_free[i] += T
@@ -319,13 +388,14 @@ def _fast_forward(prior, k_iter, cycle, n_body, total, window, retire,
 
 
 class _Lane:
-    """One (march, stream, window) point being simulated in the batch.
+    """One (march, stream, window) point being simulated.
 
-    Carries the full in-flight simulation state of the scalar
-    ``_simulate`` loop, with pipes as integers (position in
-    ``scheduler._PIPES``) and the ready heap partitioned by
+    Carries the full in-flight simulation state, with pipes as integers
+    (position in ``scheduler._PIPES``) and the ready set partitioned by
     pipe-candidate class.  ``step`` advances up to a bounded number of
-    cycle-loop passes so the batch driver can interleave lanes.
+    cycle-loop passes so the batch driver can interleave lanes.  With
+    ``record`` set the lane logs every issue as ``(dynamic_index,
+    cycle, pipe)`` in :attr:`events` and never fast-forwards.
     """
 
     __slots__ = (
@@ -376,12 +446,13 @@ class _Lane:
     def step(self, budget: int) -> bool:
         """Run up to *budget* cycle-loop passes; True once fully retired.
 
-        Bit-exact port of ``PipelineScheduler._simulate``: retire scan,
-        window admission, period detection/fast-forward, waiting→ready
-        promotion, then the greedy issue loop — pipe-candidate classes
-        replace the single ready heap (a class with no pipe free this
-        cycle is excluded wholesale; pipes only get busier within a
-        cycle, so its members could never issue anyway).
+        Each pass is one simulated cycle: retire scan, window
+        admission, period detection/fast-forward, waiting→ready
+        promotion, then the greedy issue loop over pipe-candidate
+        classes (a class with no pipe free this cycle is excluded
+        wholesale; pipes only get busier within a cycle, so its members
+        could never issue anyway).  A pass that issues nothing jumps to
+        the stall horizon.
         """
         tables = self.tables
         deps = tables.deps
@@ -507,8 +578,8 @@ class _Lane:
                     if hd < best_d:
                         best_d = hd
                         best_c = c
-                # smallest-backlog free pipe; first-in-order wins ties,
-                # matching the scalar _best_pipe canonical-order walk
+                # smallest-backlog free pipe; first in canonical order
+                # wins ties
                 best_p = -1
                 best_f = limit
                 for p in class_pipes[best_c]:
@@ -567,7 +638,12 @@ class _Lane:
             if progressed:
                 cycle += 1.0
             else:
-                # stall horizon: next cycle anything can change
+                # stall horizon: next cycle anything can change — a
+                # stalled in-window instruction becoming issueable
+                # (sources done AND a pipe freeing within the cycle), or
+                # the ROB head retiring (widening the window).
+                # Instructions still waiting on un-issued producers are
+                # in no heap and contribute nothing.
                 pts = [0.0] * n_cls
                 for c in range(n_cls):
                     mn = _INF
@@ -637,10 +713,14 @@ def _run_lanes(lanes: list[_Lane]) -> None:
 def _finalize(lanes: list[_Lane]) -> list[tuple[ScheduleResult, dict]]:
     """Vectorized steady-state statistics for all retired lanes.
 
-    One numpy pass computes every lane's cycles/iter (with the front-end
-    bound), makespan and pipe occupancy; the arithmetic matches the
-    scalar ``_outcome`` operation-for-operation, so the float64 results
-    are bit-identical and the payloads byte-identical.
+    One numpy pass computes every lane's cycles/iter (the span between
+    the last issues of the final warm-up and the final measured
+    iteration, floored by the front-end bound), makespan and pipe
+    occupancy.  Occupancy is measured against the true makespan
+    (warm-up included), so it stays in [0, 1] even when warm-up is
+    slower than steady state on tiny bodies.  The arithmetic is
+    element-wise float64, so a lane's statistics do not depend on which
+    other lanes share its batch.
     """
     if not lanes:
         return []
@@ -861,9 +941,9 @@ def schedule_batch(
     """Schedule many ``(march, stream[, window])`` points as one batch.
 
     Returns one :class:`~repro.engine.scheduler.ScheduleResult` per
-    request, in request order — each bit-identical to what
-    ``schedule_on(march, stream, window, cache=cache)`` would return,
-    including the ``pipeline.*`` counter payload and
+    request, in request order — each what
+    ``schedule_on(march, stream, window, cache=cache)`` returns (that
+    call is a batch of one), including the ``pipeline.*`` counter payload and
     ``schedule_cache.hits``/``misses`` emissions under an active
     :class:`~repro.perf.counters.ProfileScope` and the hit/miss
     statistics of the process-wide schedule cache.

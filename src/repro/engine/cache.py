@@ -1,4 +1,4 @@
-"""Content-addressed schedule cache: memoize ``PipelineScheduler`` runs.
+"""Content-addressed schedule cache: memoize simulated schedules.
 
 Every figure/table sweep in the reproduction re-schedules the same
 (kernel x toolchain x window) points over and over — and different
@@ -41,13 +41,12 @@ import json
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.engine.scheduler import PipelineScheduler, ScheduleResult
 from repro.machine.isa import InstructionStream, Pipe
 from repro.machine.microarch import Microarch
-from repro.perf.counters import emit, is_profiling
 
 __all__ = [
     "ScheduleCache",
@@ -345,20 +344,15 @@ def configure(capacity: int = 4096,
         return _CACHE
 
 
-def _enabled() -> bool:
-    return os.environ.get("REPRO_SCHEDULE_CACHE", "").lower() not in (
-        "off", "0", "no", "false",
-    )
-
-
 def enabled() -> bool:
     """True when schedule caching is active (``REPRO_SCHEDULE_CACHE``).
 
-    Public so other cache-fronting layers (the batched engine in
-    :mod:`repro.engine.batch`) honor the same kill switch as
-    :func:`cached_schedule`.
+    Read by the engine's batch planner (:mod:`repro.engine.batch`),
+    which every cached schedule goes through.
     """
-    return _enabled()
+    return os.environ.get("REPRO_SCHEDULE_CACHE", "").lower() not in (
+        "off", "0", "no", "false",
+    )
 
 
 def cached_schedule(march: Microarch, stream: InstructionStream,
@@ -367,26 +361,9 @@ def cached_schedule(march: Microarch, stream: InstructionStream,
 
     Equivalent to ``PipelineScheduler(march, window).steady_state(stream)``
     — including the ``pipeline.*`` counters emitted under profiling —
-    but repeated requests for content-identical inputs are O(1).
+    but repeated requests for content-identical inputs are O(1).  A
+    cached batch of one (:func:`repro.engine.batch.schedule_batch`).
     """
-    scheduler = PipelineScheduler(march, window=window)
-    if not _enabled():
-        return scheduler.steady_state(stream)
-    cache = get_cache()
-    key = (
-        march_fingerprint(march, scheduler.window),
-        stream_fingerprint(stream),
-    )
-    entry = cache.lookup(key)
-    if entry is None:
-        result, payload = scheduler._outcome(stream)
-        entry = _Entry(result=replace(result, label=""), counters=payload)
-        cache.store(key, entry)
-        if is_profiling():
-            emit("schedule_cache.misses", 1.0)
-    elif is_profiling():
-        emit("schedule_cache.hits", 1.0)
-    if is_profiling():
-        for name, value in entry.counters.items():
-            emit(name, value)
-    return replace(entry.result, label=stream.label)
+    from repro.engine.batch import schedule_batch
+
+    return schedule_batch([(march, stream, window)])[0]

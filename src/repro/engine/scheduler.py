@@ -1,65 +1,39 @@
-"""Cycle-approximate pipeline scheduler (event-driven fast path).
+"""Pipeline scheduler front end: result types, hooks and entry points.
 
 This is the model behind every "cycles per element" figure in the
-reproduction.  It replays an :class:`~repro.machine.isa.InstructionStream`
-(a loop body) for enough iterations to reach steady state against the
-pipe/latency/throughput tables of a :class:`~repro.machine.microarch.Microarch`.
+reproduction.  :class:`PipelineScheduler` replays an
+:class:`~repro.machine.isa.InstructionStream` (a loop body) for
+``WARMUP_ITERS + MEASURE_ITERS`` iterations against the
+pipe/latency/throughput tables of a
+:class:`~repro.machine.microarch.Microarch` and reports steady-state
+statistics.  The simulation itself — the issue model, the stepping
+loop and steady-state period detection — lives in exactly one place,
+:mod:`repro.engine.batch`; a single point is a batch of one.
 
-The issue model — stated once, accurately (DESIGN.md and
-docs/ARCHITECTURE.md point here): **greedy bounded-window out-of-order
-issue with in-order retire**.  Instructions issue out of program order,
-oldest-ready first, from a reorder window of ``window`` dynamic
-instructions behind the in-order retire pointer; up to ``issue_width``
-issue per cycle.  It is *not* a pure in-order dual-pipe model (younger
-independent instructions overtake stalled older ones inside the window)
-and not an unbounded out-of-order model (the window and in-order retire
-bound how far ahead the core can look — the mechanism that makes
-un-unrolled 9-cycle FMA chains cost what the paper measures).
+This module holds what every scheduling entry point shares:
+:class:`ScheduleResult`, :class:`ScheduleDivergence`, the opt-in
+schedule-observer hook (:class:`ScheduleRecord`), the memoized static
+dataflow of a loop body, the canonical pipe order that breaks ties, and
+the ``pipeline.*`` counter payload.  Results match the preserved seed
+implementation in :mod:`repro.engine._reference`
+(``tests/engine/test_golden_equivalence.py``).
 
-* each dynamic instruction becomes ready when all of its sources have
-  completed (register dataflow; loop-carried sources resolve to the
-  previous iteration's value);
-* each cycle, up to ``issue_width`` ready instructions from the oldest
-  ``window`` un-issued instructions are issued to free pipes;
-* a pipe stays busy for the op's reciprocal throughput — which equals the
-  full latency for blocking ops such as the A64FX ``FSQRT`` (the mechanism
-  behind the 20x sqrt gap of Section III);
-* results appear ``latency`` cycles after issue.
-
-Two fast paths make the simulation cheap without changing a single
-result (golden-equivalence is enforced by
-``tests/engine/test_golden_equivalence.py`` against the preserved seed
-implementation in :mod:`repro.engine._reference`):
-
-* **event-driven core** — ready/waiting heaps plus per-pipe free times
-  replace the per-cycle window scan; idle cycles are skipped natively,
-  so the old ``_next_event`` helper is gone;
-* **steady-state period detection** — once the relative schedule state
-  (issue offsets and pipe backlogs modulo the current cycle) repeats
-  between iterations, the simulator fast-forwards whole periods and
-  resimulates only the tail, instead of grinding through all
-  ``WARMUP_ITERS + MEASURE_ITERS`` iterations.
-
-When a :class:`repro.perf.counters.ProfileScope` is active, the simulation
-additionally emits PMU-style counters under ``pipeline.*``: front-end
-issue-slot accounting (``issue_slots.total == issue_slots.used +
-issue_slots.stalled`` holds exactly), per-pipe busy cycles, and the
-dynamic instruction-mix histogram.  The fast paths (and cache hits via
-:func:`schedule_on`) emit the identical counter payload.
+When a :class:`repro.perf.counters.ProfileScope` is active, every
+schedule additionally emits PMU-style counters under ``pipeline.*``:
+front-end issue-slot accounting (``issue_slots.total ==
+issue_slots.used + issue_slots.stalled`` holds exactly), per-pipe busy
+cycles, and the dynamic instruction-mix histogram.  Cache hits via
+:func:`schedule_on` emit the identical counter payload.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
 from typing import Callable, Mapping
 
 from repro.machine.isa import Instruction, InstructionStream, Pipe
 from repro.machine.microarch import Microarch
-from repro.perf.counters import emit, is_profiling
 
 __all__ = [
     "ScheduleResult",
@@ -73,25 +47,25 @@ __all__ = [
     "clear_memos",
 ]
 
-_INF = float("inf")
-#: stable pipe order for state snapshots and fast-forward bookkeeping
+#: stable pipe order: pipe ids of the batch engine, tie-break walk order
 _PIPES = tuple(Pipe)
 
 
 def _canon_pipes(pipes: frozenset[Pipe]) -> tuple[Pipe, ...]:
     """*pipes* in ``Pipe`` definition order — the canonical tie-break walk.
 
-    ``_best_pipe`` picks the first least-loaded candidate, so the walk
+    Pipe selection takes the first least-loaded candidate, so the walk
     order decides ties between equally-free pipes.  A frozenset's
     iteration order depends on ``PYTHONHASHSEED`` and does not survive a
     pickle round-trip to a shard worker; sorting once at timing
-    -resolution time makes every scheduler (scalar, reference, batched,
+    -resolution time makes every scheduler (reference, batched,
     sharded) break ties identically on any seed and in any process.
     """
     return tuple(p for p in _PIPES if p in pipes)
 
+
 #: opt-in schedule observers (see :func:`add_schedule_observer`); empty in
-#: normal operation so the fast path pays nothing for the hook point
+#: normal operation so scheduling pays nothing for the hook point
 _SCHEDULE_OBSERVERS: list = []
 
 
@@ -119,22 +93,14 @@ class ScheduleRecord:
         """Per body position ``(latency, rtput, pipes)`` under ``march``,
         honoring per-instruction overrides — the same resolution (and
         canonical pipe order) the scheduler itself used."""
-        out = []
-        for ins in self.stream.body:
-            t = self.march.timing(ins.op)
-            lat = (ins.latency_override
-                   if ins.latency_override is not None else t.latency)
-            rtp = (ins.rtput_override
-                   if ins.rtput_override is not None else t.rtput)
-            out.append((lat, rtp, _canon_pipes(t.pipes)))
-        return out
+        return list(_timings_for(self.march, tuple(self.stream.body)))
 
 
 def add_schedule_observer(
     observer: Callable[[ScheduleRecord], None]
 ) -> None:
     """Register *observer* to receive a :class:`ScheduleRecord` for every
-    schedule the :class:`PipelineScheduler` simulates.
+    schedule the engine simulates.
 
     Observation is opt-in instrumentation for invariant checking
     (:mod:`repro.validate`): while any observer is installed, simulated
@@ -197,31 +163,13 @@ def _dataflow_of(
     return tuple(deps), tuple(tuple(c) for c in consumers)
 
 
-#: memoized per-(march, body) resolved timing rows (candidate pipes in
-#: canonical order — see :func:`_canon_pipes`).  Keyed by ``id(march)``
-#: with the march pinned in the value so the id cannot be recycled while
-#: the entry lives; bounded LRU, guarded for the threaded sweep runner.
-_TIMINGS_MEMO: OrderedDict[
-    tuple[int, tuple[Instruction, ...]],
-    tuple[Microarch, tuple[tuple[float, float, tuple[Pipe, ...]], ...]],
-] = OrderedDict()
-_TIMINGS_MEMO_CAP = 1024
-_MEMO_LOCK = threading.Lock()
-
-
 def _timings_for(
     march: Microarch, body: tuple[Instruction, ...]
 ) -> tuple[tuple[float, float, tuple[Pipe, ...]], ...]:
     """Per body position ``(latency, rtput, pipes)`` under *march*,
-    honoring per-instruction overrides; memoized per (march, body).
-    Candidate pipes come back in canonical :func:`_canon_pipes` order so
-    tie-breaking is reproducible across seeds and process boundaries."""
-    key = (id(march), body)
-    with _MEMO_LOCK:
-        hit = _TIMINGS_MEMO.get(key)
-        if hit is not None:
-            _TIMINGS_MEMO.move_to_end(key)
-            return hit[1]
+    honoring per-instruction overrides.  Candidate pipes come back in
+    canonical :func:`_canon_pipes` order so tie-breaking is reproducible
+    across seeds and process boundaries."""
     rows = []
     for ins in body:
         t = march.timing(ins.op)
@@ -230,24 +178,16 @@ def _timings_for(
         rtp = (ins.rtput_override
                if ins.rtput_override is not None else t.rtput)
         rows.append((lat, rtp, _canon_pipes(t.pipes)))
-    resolved = tuple(rows)
-    with _MEMO_LOCK:
-        _TIMINGS_MEMO[key] = (march, resolved)
-        _TIMINGS_MEMO.move_to_end(key)
-        while len(_TIMINGS_MEMO) > _TIMINGS_MEMO_CAP:
-            _TIMINGS_MEMO.popitem(last=False)
-    return resolved
+    return tuple(rows)
 
 
 def clear_memos() -> None:
-    """Drop the memoized dataflow/timing tables (cold-path benchmarks).
+    """Drop the memoized dataflow tables (cold-path measurements).
 
-    The memos are pure caches — clearing them changes nothing but the
-    time the next schedule takes to rebuild its tables.
+    The memo is a pure cache — clearing it changes nothing but the time
+    the next schedule takes to rebuild its tables.
     """
     _dataflow_of.cache_clear()
-    with _MEMO_LOCK:
-        _TIMINGS_MEMO.clear()
 
 
 class ScheduleDivergence(RuntimeError):
@@ -367,467 +307,26 @@ class PipelineScheduler:
 
     # ------------------------------------------------------------------
     def steady_state(self, stream: InstructionStream) -> ScheduleResult:
-        """Simulate the loop and return steady-state statistics."""
-        result, payload = self._outcome(stream)
-        if is_profiling():
-            for name, value in payload.items():
-                emit(name, value)
-        return result
+        """Simulate the loop and return steady-state statistics.
 
-    # ------------------------------------------------------------------
-    def _outcome(
-        self, stream: InstructionStream
-    ) -> tuple[ScheduleResult, dict[str, float]]:
-        """Schedule *stream* and return (result, counter payload).
-
-        The payload is the exact set of ``pipeline.*`` emissions the
-        schedule produces under profiling; the cache layer stores it so
-        hits re-emit identical counters.
+        An uncached batch of one through :mod:`repro.engine.batch`;
+        ``extrapolate=False`` steps the lane in its recording mode,
+        which has period detection off.
         """
-        if len(stream) == 0:
-            raise ValueError("cannot schedule an empty instruction stream")
-        stream.validate()
-        n_iters = self.WARMUP_ITERS + self.MEASURE_ITERS
-        n_body = len(stream)
-        observers = tuple(_SCHEDULE_OBSERVERS)
-        events: list[tuple[int, float, Pipe]] = []
-        cycle, iter_last_issue, pipe_busy_cycles = self._simulate(
-            stream, n_iters,
-            on_issue=(
-                (lambda d, c, p: events.append((d, c, p)))
-                if observers else None
-            ),
-            extrapolate=self.extrapolate,
+        from repro.engine.batch import (
+            _complete_batch,
+            _plan_batch,
+            _plan_jobs,
+            _simulate_jobs,
         )
 
-        first = self.WARMUP_ITERS
-        last = n_iters - 1
-        span = iter_last_issue[last] - iter_last_issue[first - 1]
-        cpi = span / (last - first + 1)
-        cpi = max(cpi, n_body / self.march.issue_width)  # front-end bound
-
-        # utilization against the true makespan (warmup included), so the
-        # metric stays in [0, 1] even when warmup is slower than steady
-        # state on tiny bodies
-        makespan = max(cycle, 1.0)
-        occupancy = {
-            p: min(1.0, pipe_busy_cycles[p] / makespan) for p in Pipe
-        }
-        bound = self._classify_bound(cpi, n_body, occupancy)
-        result = ScheduleResult(
-            cycles_per_iter=cpi,
-            elements_per_iter=stream.elements_per_iter,
-            instructions_per_iter=n_body,
-            ipc=n_body / cpi if cpi else float("inf"),
-            pipe_occupancy=occupancy,
-            bound=bound,
-            label=stream.label,
-        )
-        payload = self._counter_payload(
-            stream, n_iters, n_body * n_iters, makespan, cpi,
-            pipe_busy_cycles,
-        )
-        if observers:
-            record = ScheduleRecord(
-                march=self.march, window=self.window, stream=stream,
-                n_iters=n_iters, issues=tuple(events), result=result,
-            )
-            for observer in observers:
-                observer(record)
-        return result, payload
+        plan = _plan_batch([(self.march, stream, self.window)], cache=False)
+        sim_out = _simulate_jobs(_plan_jobs(plan),
+                                 plan.record or not self.extrapolate,
+                                 plan.n_iters)
+        return _complete_batch(plan, sim_out)[0]
 
     # ------------------------------------------------------------------
-    def _simulate(
-        self,
-        stream: InstructionStream,
-        n_iters: int,
-        on_issue: Callable[[int, float, Pipe], None] | None = None,
-        extrapolate: bool = True,
-    ) -> tuple[float, list[float], dict[Pipe, float]]:
-        """Event-driven simulation of *n_iters* iterations of *stream*.
-
-        Returns ``(final_cycle, iter_last_issue, pipe_busy_cycles)``.
-        ``on_issue(dyn_index, cycle, pipe)`` is called for every issue
-        (used by :mod:`repro.engine.trace`); installing a hook disables
-        period detection so every issue event is observed.
-        """
-        body = stream.body
-        n_body = len(body)
-        total = n_body * n_iters
-        window = self.window
-        issue_width = self.march.issue_width
-        body_key = tuple(body)
-        timings = _timings_for(self.march, body_key)
-        static_deps, static_consumers = _dataflow_of(body_key)
-
-        completion = [_INF] * total
-        issued = bytearray(total)
-        # per-instruction count of not-yet-issued producers, and running
-        # max of issued producers' completion times (the ready time once
-        # the count hits zero); both valid only for entered instructions
-        pending = [0] * total
-        ready_acc = [0.0] * total
-        pipe_free: dict[Pipe, float] = {p: 0.0 for p in Pipe}
-        pipe_busy: dict[Pipe, float] = {p: 0.0 for p in Pipe}
-        pipe_touch: dict[Pipe, float] = {p: -_INF for p in Pipe}
-        iter_last_issue = [0.0] * n_iters
-
-        waiting: list[tuple[float, int]] = []  # (becomes-ready time, index)
-        ready: list[int] = []                  # ready, oldest (smallest) first
-        blocked: list[int] = []                # ready but no free pipe
-
-        retire = 0
-        entered = 0  # high-water mark of the ROB window
-        cycle = 0.0
-        remaining = total
-        max_cycles = self.MAX_CYCLES
-
-        # period detection: relative-state snapshots at iteration
-        # boundaries of the retire pointer
-        detect = extrapolate and on_issue is None and n_iters > self.WARMUP_ITERS
-        snapshots: dict[tuple, tuple[int, float, dict[Pipe, float]]] = {}
-        last_snap_iter = 0
-
-        while remaining and cycle < max_cycles:
-            while retire < total and issued[retire] and completion[retire] <= cycle:
-                retire += 1
-            rob_limit = retire + window
-            if rob_limit > total:
-                rob_limit = total
-
-            # admit newly visible instructions into the window
-            while entered < rob_limit:
-                d = entered
-                it, pos = divmod(d, n_body)
-                pend = 0
-                racc = 0.0
-                for ppos, delta in static_deps[pos]:
-                    sit = it - delta
-                    if sit < 0:
-                        continue
-                    s = sit * n_body + ppos
-                    if issued[s]:
-                        c = completion[s]
-                        if c > racc:
-                            racc = c
-                    else:
-                        pend += 1
-                pending[d] = pend
-                ready_acc[d] = racc
-                if pend == 0:
-                    if racc <= cycle:
-                        heappush(ready, d)
-                    else:
-                        heappush(waiting, (racc, d))
-                entered += 1
-
-            if detect:
-                retire_iter = retire // n_body
-                if retire_iter > last_snap_iter:
-                    last_snap_iter = retire_iter
-                    key = self._state_key(
-                        cycle, retire, rob_limit, n_body, issued,
-                        completion, pending, ready_acc, pipe_free,
-                    )
-                    prior = snapshots.get(key)
-                    if prior is None:
-                        snapshots[key] = (
-                            retire_iter, cycle, dict(pipe_busy)
-                        )
-                    elif retire_iter >= self.WARMUP_ITERS:
-                        skipped = self._fast_forward(
-                            prior, retire_iter, cycle, n_body, total,
-                            retire, rob_limit, issued, completion,
-                            pending, ready_acc, pipe_free, pipe_busy,
-                            pipe_touch, iter_last_issue, waiting, ready,
-                        )
-                        if skipped is not None:
-                            retire, entered, cycle, dS = skipped
-                            remaining -= dS
-                            detect = False
-                            continue
-
-            # promote instructions whose ready time has arrived
-            while waiting and waiting[0][0] <= cycle:
-                heappush(ready, heappop(waiting)[1])
-
-            issued_now = 0
-            progressed = False
-            while ready and issued_now < issue_width:
-                d = heappop(ready)
-                lat, rtput, pipes = timings[d % n_body]
-                pipe = self._best_pipe(pipes, pipe_free, cycle)
-                if pipe is None:
-                    blocked.append(d)
-                    continue
-                issued[d] = 1
-                comp = cycle + lat
-                completion[d] = comp
-                pf = pipe_free[pipe]
-                pipe_free[pipe] = (pf if pf > cycle else cycle) + rtput
-                pipe_busy[pipe] += rtput
-                pipe_touch[pipe] = cycle
-                issued_now += 1
-                remaining -= 1
-                it = d // n_body
-                if cycle > iter_last_issue[it]:
-                    iter_last_issue[it] = cycle
-                progressed = True
-                if on_issue is not None:
-                    on_issue(d, cycle, pipe)
-                # wake consumers: their pending count drops, their ready
-                # time accumulates this completion
-                for jpos, delta in static_consumers[d % n_body]:
-                    cons = (it + delta) * n_body + jpos
-                    if cons >= entered or issued[cons]:
-                        continue
-                    if comp > ready_acc[cons]:
-                        ready_acc[cons] = comp
-                    pending[cons] -= 1
-                    if pending[cons] == 0:
-                        r = ready_acc[cons]
-                        if r <= cycle:
-                            heappush(ready, cons)
-                        else:
-                            heappush(waiting, (r, cons))
-            for d in blocked:
-                heappush(ready, d)
-            blocked.clear()
-
-            if progressed:
-                cycle += 1.0
-            else:
-                cycle = self._stall_horizon(
-                    cycle, ready, waiting, timings, n_body, pipe_free,
-                    ready_acc, issued, completion, retire, rob_limit,
-                )
-        if remaining:
-            stuck = retire
-            while stuck < total and issued[stuck]:
-                stuck += 1
-            raise ScheduleDivergence(stream, window, stuck, n_body)
-        return cycle, iter_last_issue, pipe_busy
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _state_key(
-        cycle: float,
-        retire: int,
-        rob_limit: int,
-        n_body: int,
-        issued: bytearray,
-        completion: list[float],
-        pending: list[int],
-        ready_acc: list[float],
-        pipe_free: dict[Pipe, float],
-    ) -> tuple:
-        """Hashable relative state of the in-flight window.
-
-        Two simulation moments with equal keys evolve identically (up to
-        a uniform shift of all times and dynamic indices): the key holds
-        the retire offset within the body, the window extent, every pipe
-        backlog relative to ``cycle``, and per in-flight instruction its
-        issued flag plus completion/ready time relative to ``cycle``.
-        Past times (<= cycle) are collapsed — they no longer influence
-        issue decisions — except pipe backlogs, where ``_best_pipe``
-        breaks ties by comparing raw values: those are encoded by rank
-        so the relative order (all that matters) must recur.
-        """
-        parts: list = [retire % n_body, rob_limit - retire]
-        past: list[float] = []
-        for p in _PIPES:
-            pf = pipe_free[p]
-            if pf <= cycle:
-                past.append(pf)
-        rank = {v: -1.0 - i for i, v in enumerate(sorted(set(past)))}
-        for p in _PIPES:
-            pf = pipe_free[p]
-            parts.append(pf - cycle if pf > cycle else rank[pf])
-        for d in range(retire, rob_limit):
-            if issued[d]:
-                c = completion[d]
-                parts.append((1, c - cycle if c > cycle else 0.0))
-            else:
-                r = ready_acc[d]
-                parts.append(
-                    (0, pending[d], r - cycle if r > cycle else 0.0)
-                )
-        return tuple(parts)
-
-    # ------------------------------------------------------------------
-    def _fast_forward(
-        self,
-        prior: tuple[int, float, dict[Pipe, float]],
-        k_iter: int,
-        cycle: float,
-        n_body: int,
-        total: int,
-        retire: int,
-        rob_limit: int,
-        issued: bytearray,
-        completion: list[float],
-        pending: list[int],
-        ready_acc: list[float],
-        pipe_free: dict[Pipe, float],
-        pipe_busy: dict[Pipe, float],
-        pipe_touch: dict[Pipe, float],
-        iter_last_issue: list[float],
-        waiting: list[tuple[float, int]],
-        ready: list[int],
-    ) -> tuple[int, int, float, int] | None:
-        """Skip whole steady-state periods by shifting the in-flight state.
-
-        ``prior`` is an earlier snapshot with an identical relative state
-        key; the schedule between the two is one period (``p`` iterations,
-        ``D`` cycles).  The largest number of whole periods that keeps the
-        tail clear of end-of-stream window clamping is skipped; the tail
-        is then resimulated exactly, so end effects and the measured
-        iteration endpoints stay bit-faithful.  Returns the new
-        ``(retire, entered, cycle, skipped_instructions)`` or None when
-        no skip is admissible yet.
-        """
-        j_iter, c_j, busy_j = prior
-        p = k_iter - j_iter
-        D = cycle - c_j
-        if p <= 0 or D <= 0.0:
-            return None
-        r0 = retire % n_body
-        # last iteration the retire pointer may reach with the window
-        # still fully inside the stream (no ROB end-clamping during or
-        # right after the skipped span)
-        limit_iter = (total - self.window - r0) // n_body - 1
-        q = (limit_iter - k_iter) // p
-        if q <= 0:
-            return None
-        m = q * p
-        S = m * n_body
-        T = q * D
-        lo, hi = retire, rob_limit
-
-        # shift the in-flight slice up by S dynamic instructions and T
-        # cycles; times already in the past stay as-is (they only feed
-        # max() accumulations and <=-cycle comparisons downstream)
-        for d in range(hi - 1, lo - 1, -1):
-            nd = d + S
-            issued[nd] = issued[d]
-            c = completion[d]
-            completion[nd] = c + T if c > cycle else c
-            pending[nd] = pending[d]
-            r = ready_acc[d]
-            ready_acc[nd] = r + T if r > cycle else r
-        # the skipped span retires wholesale: issued, completed in the past
-        for d in range(lo, lo + S):
-            issued[d] = 1
-            completion[d] = 0.0
-
-        waiting[:] = [
-            (r + T if r > cycle else r, d + S) for r, d in waiting
-        ]
-        heapify(waiting)
-        ready[:] = [d + S for d in ready]
-        heapify(ready)
-
-        # pipes touched within the matched period keep shifting their
-        # backlog; untouched pipes hold absolute (past) values
-        for pipe in _PIPES:
-            if pipe_touch[pipe] >= c_j:
-                pipe_free[pipe] += T
-                pipe_touch[pipe] += T
-            pipe_busy[pipe] += q * (pipe_busy[pipe] - busy_j[pipe])
-
-        hi_it = (hi - 1) // n_body
-        for it in range(hi_it, k_iter - 1, -1):
-            v = iter_last_issue[it]
-            iter_last_issue[it + m] = v + T if v > 0.0 else 0.0
-
-        return retire + S, hi + S, cycle + T, S
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _stall_horizon(
-        cycle: float,
-        ready: list[int],
-        waiting: list[tuple[float, int]],
-        timings: list[tuple[float, float, frozenset[Pipe]]],
-        n_body: int,
-        pipe_free: dict[Pipe, float],
-        ready_acc: list[float],
-        issued: bytearray,
-        completion: list[float],
-        retire: int,
-        rob_limit: int,
-    ) -> float:
-        """Next cycle at which anything can change: a stalled in-window
-        instruction becoming issueable (sources done AND a pipe freeing
-        within the cycle), or the ROB head retiring (widening the
-        window).  Instructions still waiting on un-issued producers have
-        an infinite ready bound and contribute nothing."""
-        horizon = _INF
-        for d in ready:
-            pipes = timings[d % n_body][2]
-            pipe_t = min(pipe_free[p] for p in pipes) - 1.0
-            r = ready_acc[d]
-            t = pipe_t if pipe_t > r else r
-            if t < horizon:
-                horizon = t
-        for r, d in waiting:
-            pipes = timings[d % n_body][2]
-            pipe_t = min(pipe_free[p] for p in pipes) - 1.0
-            t = pipe_t if pipe_t > r else r
-            if t < horizon:
-                horizon = t
-        if retire < rob_limit and issued[retire]:
-            c = completion[retire]
-            if c < horizon:
-                horizon = c
-        if horizon == _INF:
-            horizon = cycle + 1.0
-        floor = cycle + 1.0
-        return horizon if horizon > floor else floor
-
-    # ------------------------------------------------------------------
-    def _counter_payload(
-        self,
-        stream: InstructionStream,
-        n_iters: int,
-        total: int,
-        makespan: float,
-        cpi: float,
-        pipe_busy_cycles: Mapping[Pipe, float],
-    ) -> dict[str, float]:
-        """The ``pipeline.*`` PMU counters for one simulated schedule.
-
-        The front-end slot identity is exact by construction: every
-        simulated cycle offers ``issue_width`` slots; each dynamic
-        instruction consumes one, and the remainder are stall slots
-        (empty issue slots — dependence, pipe-busy, or window stalls).
-        """
-        return counter_payload(
-            self.march, stream, n_iters, total, makespan, cpi,
-            pipe_busy_cycles,
-        )
-
-    # ------------------------------------------------------------------
-    def _timing_of(
-        self, ins: Instruction
-    ) -> tuple[float, float, tuple[Pipe, ...]]:
-        return _timings_for(self.march, (ins,))[0]
-
-    @staticmethod
-    def _best_pipe(
-        pipes: tuple[Pipe, ...], pipe_free: dict[Pipe, float], cycle: float
-    ) -> Pipe | None:
-        """Pipe that frees up within this cycle with the smallest backlog,
-        or None if all are busy past it.  *pipes* arrives in canonical
-        :func:`_canon_pipes` order, which fixes the tie between
-        equally-free candidates."""
-        best: Pipe | None = None
-        for p in pipes:
-            if pipe_free[p] < cycle + 1.0:
-                if best is None or pipe_free[p] < pipe_free[best]:
-                    best = p
-        return best
-
     @staticmethod
     def _static_dataflow(
         body: list[Instruction],
@@ -865,9 +364,9 @@ def counter_payload(
 ) -> dict[str, float]:
     """The ``pipeline.*`` PMU counters for one simulated schedule.
 
-    Shared by the event-driven scheduler and the batched SoA engine
-    (:mod:`repro.engine.batch`) so both paths emit — and the schedule
-    cache replays — byte-identical payloads.  The front-end slot
+    Computed by the engine (:mod:`repro.engine.batch`) for every
+    simulated schedule; the schedule cache stores it so hits replay
+    byte-identical payloads.  The front-end slot
     identity ``issue_slots.total == used + stalled`` is exact by
     construction: every simulated cycle offers ``issue_width`` slots,
     each dynamic instruction consumes one, and the remainder stall.

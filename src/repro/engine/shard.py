@@ -21,9 +21,8 @@ phase split into contiguous per-worker shards on a
 
 Because every stateful step happens in the caller in the same sequence
 as the serial batch, the results, counter totals and cache statistics
-are **bit-identical** to :func:`~repro.engine.batch.schedule_batch` —
-and to the per-point scheduler (``tests/engine/test_shard.py`` and the
-grid fuzz lane enforce both).
+are **bit-identical** to :func:`~repro.engine.batch.schedule_batch`
+(``tests/engine/test_shard.py`` and the grid fuzz lane enforce it).
 
 Profitability routing: forking a pool and rebuilding per-worker tables
 costs tens of milliseconds, so tiny batches or starved pools are a net
@@ -33,17 +32,15 @@ effective worker count or the unique-lane count falls below the
 :data:`SHARD_MIN_JOBS`/:data:`SHARD_MIN_JOBS_PER_WORKER` thresholds
 (``max_workers=None`` additionally caps workers at the CPU count — a
 1-core "pool" can only lose).  The decision every call actually took is
-reported by :func:`last_shard_plan` and recorded in the ``grid`` tier
-of ``BENCH_engine.json``, so a small-pool deployment can never
-misread pool overhead as a sharding speedup regression.
+reported by :func:`last_shard_plan`.
 
 Where process pools are unavailable the pool downgrade of
 :mod:`repro.engine.sweep` applies: a
 :class:`~repro.engine.sweep.PoolDowngradeWarning` is emitted, threads
 are used instead, and :func:`~repro.engine.sweep.last_effective_mode`
 reports what actually ran.  A divergent lane raises the same
-:class:`~repro.engine.scheduler.ScheduleDivergence` as the scalar path
-(the exception pickles by field across the pool boundary).
+:class:`~repro.engine.scheduler.ScheduleDivergence` as an in-process
+batch (the exception pickles by field across the pool boundary).
 """
 
 from __future__ import annotations
@@ -92,9 +89,6 @@ def last_shard_plan() -> dict | None:
     A dict with ``routing`` (``"serial"`` or ``"sharded"``),
     ``workers`` (effective worker count) and ``jobs`` (unique-lane
     count after deduplication); ``None`` before any sharded batch ran
-    on this thread.  ``repro bench --tier grid`` records this in the
-    ``grid.shard`` payload so the sharded-vs-serial comparison is only
-    scored when sharding actually ran.
     """
     return getattr(_LAST_PLAN, "value", None)
 

@@ -1,11 +1,10 @@
-"""Parallel sweep runner: fan schedule work out over workers.
+"""Sweep runner: batched predictions plus a counter-exact parallel map.
 
 Every figure/table in the reproduction is a sweep — (kernel x toolchain
 x system x window) points that are embarrassingly parallel once the
 schedule cache (:mod:`repro.engine.cache`) deduplicates shared work.
 This module provides the fan-out primitives used by
-``examples/reproduce_paper.py``, the figure drivers and
-``benchmarks/engine_bench.py``:
+``examples/reproduce_paper.py`` and the figure drivers:
 
 * :func:`map_schedules` — ``map(fn, items)`` over a thread/process pool
   (or serially), preserving input order, with **exact counter merging**:
@@ -14,34 +13,24 @@ This module provides the fan-out primitives used by
   into the caller's active scopes in submission order — so
   ``ProfileScope`` totals under parallelism are bit-identical to a
   serial run.
-* :func:`run_sweep` — the common case: schedule a list of
+* :func:`run_sweep` — the common case: predict a list of
   :class:`SweepPoint` (loop, toolchain[, window]) specs and return one
   stats row per point.  Points are named, not objects, so the work ships
   cleanly to process pools.
 
-Modes: ``"serial"`` (in-process, live emission), ``"thread"`` (default;
-shares the in-process schedule cache, fine for the GIL-light scheduler
-inner loop), ``"process"`` (true parallelism; combine with
-``REPRO_CACHE_DIR`` so workers share schedules via the disk cache).
-
-Batched scheduling: when a sweep carries at least
-:func:`batch_min_points` points, :func:`run_sweep` routes them through
-the grid fast paths — compilations deduplicate through the
-content-addressed compile cache (:mod:`repro.compilers.cache`),
-engine-tier points run as one structure-of-arrays batch
-(:mod:`repro.engine.batch`; sharded over a process pool by
-:mod:`repro.engine.shard` under ``mode="process"``), and ECM-tier
-points evaluate as one vectorized array program
-(:mod:`repro.ecm.batch`) — identical rows, counters and cache
-statistics, multiplicatively fewer scalar evaluations.  ``batch=False``
-(or ``REPRO_BATCH_SCHEDULE=off``) forces the per-point path; single
-points and small sweeps keep the event-driven scheduler automatically.
-``REPRO_BATCH_MIN_POINTS`` overrides the routing threshold.
+Every sweep, whatever its size, runs as one batch: compilations
+deduplicate through the content-addressed compile cache
+(:mod:`repro.compilers.cache`), engine-tier points run as one
+structure-of-arrays batch (:mod:`repro.engine.batch`; sharded over a
+process pool by :mod:`repro.engine.shard` under ``mode="process"``),
+and ECM-tier points evaluate as one vectorized array program
+(:mod:`repro.ecm.batch`).  Rows equal the per-point composition
+``compile_loop`` → ``schedule_on`` / ``predict_compiled``
+(``tests/engine/test_sweep.py`` holds that oracle).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import warnings
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
@@ -52,11 +41,9 @@ from typing import Callable, Iterable, Sequence, TypeVar
 from repro.perf.counters import ProfileScope, active_scopes
 
 __all__ = [
-    "BATCH_MIN_POINTS",
     "PoolDowngradeWarning",
     "SweepPoint",
     "TIERS",
-    "batch_min_points",
     "last_effective_mode",
     "map_schedules",
     "run_sweep",
@@ -70,11 +57,6 @@ MODES = ("serial", "thread", "process")
 
 #: prediction tiers a sweep point can run under
 TIERS = ("engine", "ecm")
-
-#: default minimum point count before :func:`run_sweep` routes through
-#: the batched grid paths (below this, per-point scheduling is cheaper
-#: than assembling a batch); override with ``REPRO_BATCH_MIN_POINTS``
-BATCH_MIN_POINTS = 8
 
 
 class PoolDowngradeWarning(RuntimeWarning):
@@ -126,44 +108,12 @@ def _make_pool(mode: str, max_workers: int | None) -> tuple[Executor, str]:
     return ThreadPoolExecutor(max_workers=max_workers), "thread"
 
 
-def _batch_enabled() -> bool:
-    """Default batching policy (``REPRO_BATCH_SCHEDULE`` kill switch)."""
-    return os.environ.get("REPRO_BATCH_SCHEDULE", "").lower() not in (
-        "off", "0", "no", "false",
-    )
-
-
-def batch_min_points() -> int:
-    """The effective batch-routing threshold for :func:`run_sweep`.
-
-    Defaults to :data:`BATCH_MIN_POINTS`; the ``REPRO_BATCH_MIN_POINTS``
-    environment variable (validated integer >= 1, documented next to
-    the ``REPRO_BATCH_SCHEDULE`` kill switch) overrides it, e.g. to
-    force tiny sweeps onto the batch path in experiments or to keep
-    mid-size sweeps per-point.
-    """
-    raw = os.environ.get("REPRO_BATCH_MIN_POINTS")
-    if raw is None or raw.strip() == "":
-        return BATCH_MIN_POINTS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_BATCH_MIN_POINTS must be an integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(
-            f"REPRO_BATCH_MIN_POINTS must be >= 1, got {value}"
-        )
-    return value
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     """One schedule request, by name (picklable for process pools).
 
     ``tier`` selects the prediction tier: ``"engine"`` simulates the
-    steady-state schedule on the fast event-driven scheduler;
+    steady-state schedule on the cycle-level engine;
     ``"ecm"`` evaluates the analytical ECM model
     (:mod:`repro.ecm.model`) instead — no simulation, microseconds per
     point.
@@ -269,75 +219,29 @@ def _resolve_targets(tc_name: str, machine: str | None):
     return march, default_system
 
 
-def _schedule_point(
-    spec: tuple[str, str, int | None, str, str | None],
-) -> dict:
-    """Compile + predict one named sweep point (top-level: picklable).
-
-    The ``engine`` tier simulates through the cached fast scheduler;
-    the ``ecm`` tier evaluates the analytical model on the same
-    compiled loop, so the two rows are directly comparable.
-    """
-    from repro.compilers.codegen import compile_loop
-    from repro.compilers.toolchains import get_toolchain
-    from repro.kernels.catalog import build_kernel
-
-    loop, tc_name, window, tier, machine = spec
-    if tier not in TIERS:
-        raise ValueError(f"tier must be one of {TIERS}, got {tier!r}")
-    tc = get_toolchain(tc_name)
-    march, system_of = _resolve_targets(tc_name, machine)
-    compiled = compile_loop(build_kernel(loop), tc, march)
-    row = {
-        "loop": loop,
-        "toolchain": tc.name,
-        "march": march.name,
-        "window": window if window is not None else march.window,
-        "tier": tier,
-        "model_cycles_per_element": compiled.cycles_per_element,
-    }
-    if machine is not None:
-        row["machine"] = machine
-    if tier == "ecm":
-        from repro.ecm.model import predict_compiled
-
-        system = system_of()
-        pred = predict_compiled(compiled, system, window=window)
-        row.update({
-            "cycles_per_iter": pred.cycles_per_iter,
-            "cycles_per_element": pred.cycles_per_element,
-            "ipc": pred.incore.n_instrs / pred.cycles_per_iter,
-            "bound": pred.bound,
-        })
-        return row
-    from repro.engine.scheduler import schedule_on
-
-    sched = schedule_on(march, compiled.stream, window)
-    row.update({
-        "cycles_per_iter": sched.cycles_per_iter,
-        "cycles_per_element": sched.cycles_per_element,
-        "ipc": sched.ipc,
-        "bound": sched.bound,
-    })
-    return row
-
-
-def _run_sweep_batched(
-    specs: list[tuple[str, str, int | None, str, str | None]],
+def run_sweep(
+    points: Iterable["SweepPoint | Sequence"],
     *,
-    mode: str,
-    max_workers: int | None,
+    mode: str = "thread",
+    max_workers: int | None = None,
+    tier: str | None = None,
 ) -> list[dict]:
-    """Batched sweep: both tiers ride the grid fast paths.
+    """Predict every (loop, toolchain[, window]) point; one row each.
+
+    Rows arrive in input order and carry the prediction statistics plus
+    the codegen-adjusted ``model_cycles_per_element`` (the quantity the
+    paper's Section IV tables quote).  ``tier`` overrides the tier of
+    every point at once (``--tier ecm`` on the CLIs lands here); per
+    -point tiers come from :attr:`SweepPoint.tier`.
 
     Compilations go through the content-addressed compile cache
     (:func:`repro.compilers.cache.cached_compile`), so a grid sharing
     (loop, toolchain) across many windows lowers each combination once.
     Every point contributes the default-window schedule request behind
     ``CompiledLoop.cycles_per_element``; engine points add their
-    explicitly windowed request — matching the per-point path request
-    for request, so cache statistics and ``ProfileScope`` totals stay
-    bit-identical.  The deduplicated batch simulates sharded over a
+    explicitly windowed request — one request per lookup a per-point
+    composition would make, so cache statistics and ``ProfileScope``
+    totals equal it.  The deduplicated batch simulates sharded over a
     process pool under ``mode="process"``
     (:func:`repro.engine.shard.schedule_batch_sharded`), in-process
     otherwise; ECM-tier rows then compose in one vectorized pass
@@ -350,14 +254,17 @@ def _run_sweep_batched(
     from repro.engine.shard import schedule_batch_sharded
     from repro.kernels.catalog import build_kernel
 
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    specs = [_normalize(p, tier) for p in points]
     rows: list[dict | None] = [None] * len(specs)
     requests: list[tuple] = []
     pending: list[tuple] = []
     # one compiled loop per (loop, toolchain, machine) combo for the
     # whole sweep; the request list below still carries one entry per
     # *point*, which is what keeps cache statistics and counters equal
-    # to the per-point path — sharing the compiled object only skips
-    # redundant IR builds
+    # to a per-point composition — sharing the compiled object only
+    # skips redundant IR builds
     compiled_of: dict[tuple[str, str, str | None], object] = {}
     system_of: dict[tuple[str, str | None], object] = {}
     for i, (loop, tc_name, window, point_tier, machine) in enumerate(specs):
@@ -374,8 +281,8 @@ def _run_sweep_batched(
             compiled_of[(loop, tc_name, machine)] = compiled
         march = compiled.march
         req_idx = len(requests)
-        # the default-window schedule behind cycles_per_element; the
-        # per-point path looks it up for every row in both tiers
+        # the default-window schedule behind cycles_per_element, looked
+        # up for every row in both tiers
         requests.append((march, compiled.stream))
         if point_tier == "engine":
             requests.append((march, compiled.stream, window))
@@ -391,7 +298,7 @@ def _run_sweep_batched(
     ecm_rows: list[tuple[int, dict]] = []
     for i, compiled, march, window, point_tier, req_idx in pending:
         # pre-seed the cached property so cycles_per_element reuses the
-        # batch result instead of re-entering the scalar scheduler
+        # batch result instead of scheduling again
         compiled.__dict__["schedule"] = results[req_idx]
         row = {
             "loop": specs[i][0],
@@ -430,43 +337,3 @@ def _run_sweep_batched(
             rows[i] = row
     return rows  # type: ignore[return-value]
 
-
-def run_sweep(
-    points: Iterable["SweepPoint | Sequence"],
-    *,
-    mode: str = "thread",
-    max_workers: int | None = None,
-    tier: str | None = None,
-    batch: bool | None = None,
-) -> list[dict]:
-    """Predict every (loop, toolchain[, window]) point; one row each.
-
-    Rows arrive in input order and carry the prediction statistics plus
-    the codegen-adjusted ``model_cycles_per_element`` (the quantity the
-    paper's Section IV tables quote).  ``tier`` overrides the tier of
-    every point at once (``--tier ecm`` on the CLIs lands here); per
-    -point tiers come from :attr:`SweepPoint.tier`.
-
-    ``batch`` controls the batched grid paths: ``None`` (default) uses
-    them when at least :func:`batch_min_points` points (of either tier)
-    are pending (unless ``REPRO_BATCH_SCHEDULE=off``), ``True`` forces
-    them, ``False`` keeps the per-point event-driven path.  Rows,
-    counters and cache statistics are identical either way; under
-    ``mode="process"`` the batch simulation itself shards across a
-    process pool.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    specs = [_normalize(p, tier) for p in points]
-    n_engine = sum(1 for s in specs if s[3] == "engine")
-    n_pred = len(specs)
-    use_batch = _batch_enabled() if batch is None else batch
-    threshold = batch_min_points()
-    if use_batch and (n_engine >= threshold or n_pred >= threshold or
-                      (batch is True and n_pred > 0)):
-        return _run_sweep_batched(
-            specs, mode=mode, max_workers=max_workers
-        )
-    return map_schedules(
-        _schedule_point, specs, mode=mode, max_workers=max_workers
-    )

@@ -1,15 +1,15 @@
 """Issue-trace capture and pipeline diagrams for the scheduler.
 
-The scheduler reports steady-state aggregates; this module runs the
-*same* event-driven simulation (not a copy of it) with an ``on_issue``
-hook installed, recording when each instruction issues and on which
-pipe, then renders the first iterations as a text pipeline diagram —
-the tool one reaches for when asking "why is this kernel 2.2
+The scheduler reports steady-state aggregates; this module steps the
+*same* engine lane (:class:`repro.engine.batch._Lane`, not a copy of it)
+in its recording mode, logging when each instruction issues and on
+which pipe, then renders the first iterations as a text pipeline
+diagram — the tool one reaches for when asking "why is this kernel 2.2
 cycles/element?" (exactly the Section IV exercise).
 
-Installing the hook disables steady-state extrapolation, so every issue
-of every iteration is observed; the issue decisions are identical to
-the aggregate scheduler's by construction.
+Recording disables steady-state extrapolation, so every issue of every
+iteration is observed; the issue decisions are identical to the
+aggregate scheduler's by construction.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro._util import require_positive
+from repro.engine.batch import _Lane, _run_lanes, _tables_for
 from repro.engine.scheduler import PipelineScheduler
 from repro.machine.isa import InstructionStream, Pipe
 from repro.machine.microarch import Microarch
@@ -43,11 +44,14 @@ def capture_trace(
     """Issue events of the first *iterations* of *stream* on *march*."""
     require_positive(iterations, "iterations")
     stream.validate()
+    window = PipelineScheduler(march, window=window).window
     body = stream.body
     n_body = len(body)
+    lane = _Lane(march, stream, window, _tables_for(march, tuple(body)),
+                 True, iterations)
+    _run_lanes([lane])
     events: list[IssueEvent] = []
-
-    def record(d: int, cycle: float, pipe: Pipe) -> None:
+    for d, cycle, pipe in lane.events:
         ins = body[d % n_body]
         events.append(
             IssueEvent(
@@ -59,9 +63,6 @@ def capture_trace(
                 mnemonic=ins.tag or ins.op.value,
             )
         )
-
-    scheduler = PipelineScheduler(march, window=window)
-    scheduler._simulate(stream, iterations, on_issue=record)
     return events
 
 

@@ -140,7 +140,7 @@ def machine_grid_predictions(
     Returns ``(items, predictions, skipped)`` where ``items`` is the
     ``(compiled, system, window)`` list fed to
     :func:`repro.ecm.batch.predict_batch` (usable as-is for a
-    scalar-vs-batched equivalence check), ``predictions`` aligns with
+    per-point-vs-batched equivalence check), ``predictions`` aligns with
     it, and ``skipped`` counts (machine, kernel) points no toolchain
     could compile.
     """

@@ -25,13 +25,16 @@ the SpMV inner loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro._util import require_positive
 from repro.npb.classes import CLASSES
 from repro.npb.lcg import A_NPB, mulmod46
+
+if TYPE_CHECKING:  # scipy is imported lazily: importing this module is cheap
+    import scipy.sparse as sp
 
 __all__ = ["CG_VERIFY", "CGResult", "run_cg", "make_cg_matrix"]
 
@@ -100,6 +103,8 @@ def make_cg_matrix(
     Reproduces the NPB stream exactly: one warm-up ``randlc`` call (the
     driver's ``zeta = randlc(&tran, amult)``) precedes generation.
     """
+    import scipy.sparse as sp
+
     require_positive(n, "n")
     require_positive(nonzer, "nonzer")
     rng = _SerialRandlc(_TRAN0)

@@ -12,18 +12,11 @@ SoA scheduling engine and ECM-tier batches through the vectorized
 analytical model — returning versioned ``repro.serve/1`` responses
 with per-request cache/batch provenance.
 
-``python -m repro serve`` runs the daemon, ``python -m repro
-serve-bench`` (:mod:`repro.serve.bench`) measures the resulting
-throughput against a no-reuse baseline and writes ``BENCH_serve.json``.
-See ``docs/SERVING.md``.
+``python -m repro serve`` runs the daemon; ``benchmarks/e2e`` measures
+it end to end.  See ``docs/SERVING.md``.
 """
 
-from repro.serve.client import (
-    LoadResult,
-    ServeClient,
-    request_mix,
-    run_load,
-)
+from repro.serve.client import ServeClient
 from repro.serve.protocol import (
     PROTOCOL_FORMAT,
     PredictRequest,
@@ -40,7 +33,6 @@ from repro.serve.server import (
 )
 
 __all__ = [
-    "LoadResult",
     "MicroBatcher",
     "PROTOCOL_FORMAT",
     "PredictRequest",
@@ -49,9 +41,7 @@ __all__ = [
     "ServeClient",
     "TcpFrontend",
     "parse_request",
-    "request_mix",
     "reset_session_stats",
-    "run_load",
     "serve_stdio",
     "session_stats",
 ]

@@ -29,10 +29,11 @@ contract, so a served response is float-for-float identical to calling
 :func:`repro.ecm.model.predict_compiled` directly — including replays
 answered from the warm caches (``tests/serve/test_golden.py``).
 
-``naive=True`` builds the benchmark baseline: one-request-at-a-time
+``naive=True`` builds the reference path: one-request-at-a-time
 execution with **no** cross-request reuse (private compilation, uncached
-scalar scheduling), so ``repro serve-bench`` measures exactly what the
-serving architecture adds.
+scheduling).  Its answers are the oracle the batched path is checked
+against (``tests/serve/test_golden.py``) and the source of the serve
+goldens in ``benchmarks/e2e``.
 
 Frontends: :func:`serve_stdio` speaks the line protocol over
 stdin/stdout; :class:`TcpFrontend` serves a local socket with one
@@ -150,7 +151,7 @@ class PredictionServer:
     queue; ``workers > 1`` shards engine-tier batch simulation across a
     process pool (probed at :meth:`start`); ``naive=True`` degenerates
     to one-request-at-a-time execution with no cross-request reuse —
-    the serve benchmark's baseline.
+    the reference path batched answers are checked against.
 
     Use as a context manager, or :meth:`start`/:meth:`stop` explicitly.
     In-process clients call :meth:`request` (synchronous) or
@@ -421,13 +422,11 @@ class PredictionServer:
         return out  # type: ignore[return-value]
 
     def _run_naive(self, items: list[PredictRequest]) -> list[dict]:
-        """Baseline execution: no batching, no cross-request reuse.
+        """Reference execution: no batching, no cross-request reuse.
 
-        Every request pays a private compilation and uncached scalar
+        Every request pays a private compilation and uncached
         scheduling/prediction — what a stateless one-shot process would
-        do.  Responses are still bit-identical (the caches and batch
-        paths are exact), so the serve benchmark's speedup isolates the
-        serving architecture, not answer drift.
+        do.  Batched responses must be bit-identical to these.
         """
         from repro.compilers.codegen import compile_loop
         from repro.compilers.toolchains import get_toolchain

@@ -6,11 +6,13 @@ and "Performance Modeling of Streaming Kernels and SpMV on A64FX"
 (arXiv 2009.13903) — validate their analytical ECM model on sparse
 matrix-vector multiplication (CRS and SELL-C-sigma storage) and on
 regular stencil sweeps.  This package reproduces that kernel family as
-loop IR so the same kernels run on **all three prediction tiers**:
+loop IR so the same kernels run on **both prediction tiers** and the
+oracle:
 
 * the analytical ECM tier (:mod:`repro.ecm`) — microseconds,
-* the event-driven fast engine (:mod:`repro.engine.scheduler`),
-* the full simulation (``PipelineScheduler(march, extrapolate=False)``).
+* the cycle-level engine (:mod:`repro.engine.batch`, reached through
+  :mod:`repro.engine.scheduler`),
+* the frozen seed scheduler (:mod:`repro.engine._reference`).
 
 :mod:`repro.spmv.matrices` models the sparse-matrix storage formats
 (row-length distributions, CRS, SELL-C-sigma chunk occupancy beta);

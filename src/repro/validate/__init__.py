@@ -9,7 +9,7 @@ against its frozen golden reference (see ``docs/VALIDATION.md``):
    from the issue-event log (:mod:`repro.validate.schedule`);
 3. **counters** — PMU-counter reconciliation identities
    (:mod:`repro.validate.reconcile`);
-4. **fuzz** — differential fuzzing of the fast scheduler against
+4. **fuzz** — differential fuzzing of the scheduling engine against
    :mod:`repro.engine._reference` (:mod:`repro.validate.fuzz`).
 
 Three front ends share these passes: the library API

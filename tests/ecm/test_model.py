@@ -135,7 +135,7 @@ class TestCli:
         ["profile", "spmv_crs", "fujitsu"],
         ["asm", "stencil2d", "gnu"],
         ["pipeline", "spmv_sell", "fujitsu"],
-        ["bench", "--quick", "--tier", "ecm"],
+        ["sweep", "--tier", "ecm", "--kernels", "spmv_crs,stencil3d"],
     ])
     def test_parse_command_accepts(self, argv):
         from repro.__main__ import parse_command
@@ -148,7 +148,7 @@ class TestCli:
         ["ecm", "simple", "nope"],
         ["ecm", "simple", "--n"],
         ["ecm", "simple", "--frobnicate"],
-        ["bench", "--tier", "nope"],
+        ["sweep", "--tier", "nope"],
         ["profile", "simple", "--compare"],
     ])
     def test_parse_command_rejects(self, argv):

@@ -1,14 +1,13 @@
 """Golden equivalence and wiring tests for the batched SoA engine.
 
-:func:`repro.engine.batch.schedule_batch` is a pure optimization: one
-array-stepped batch over many (march, stream, window) points must be
-**bit-exact** against the event-driven scheduler and (at 1e-9 relative)
-against the frozen seed implementation in
-:mod:`repro.engine._reference` — results, ``pipeline.*`` counter
-payloads, and schedule-cache statistics included.  The full Fig. 1/2
-catalog crossed with every toolchain rides through a single batch call
-here, plus dedup/cache semantics, sweep routing, observer records and
-the error paths.
+Batching is a pure optimization: one array-stepped batch over many
+(march, stream, window) points must be **bit-exact** against the same
+points stepped alone (a batch of one) and match (at 1e-9 relative) the
+frozen seed implementation in :mod:`repro.engine._reference` — results,
+``pipeline.*`` counter payloads, and schedule-cache statistics
+included.  The full Fig. 1/2 catalog crossed with every toolchain rides
+through a single batch call here, plus dedup/cache semantics, sweep
+rows, observer records and the error paths.
 """
 
 import pytest
@@ -38,6 +37,7 @@ from repro.machine.isa import Instruction, InstructionStream, Op
 from repro.machine.microarch import A64FX, SKYLAKE_6140
 from repro.perf.counters import ProfileScope
 from repro.validate.schedule import ScheduleInvariantChecker
+from tests.engine.sweep_oracle import oracle_rows
 
 RTOL = 1e-9
 
@@ -66,8 +66,18 @@ def _suite_requests():
     return [(_march_for(tc), _stream_for(loop, tc)) for loop, tc in POINTS]
 
 
+def _alone(march, stream, window=None):
+    """*stream* stepped as a batch of one, uncached."""
+    return schedule_batch([(march, stream, window)], cache=False)[0]
+
+
+def _seed(march, stream, window=None):
+    """The frozen seed scheduler's answer for the same point."""
+    return ReferenceScheduler(march, window=window).steady_state(stream)
+
+
 def assert_bit_exact(res, ref):
-    """Batch vs event-driven: every field identical, label included."""
+    """Every field identical, label included."""
     assert res.cycles_per_iter == ref.cycles_per_iter
     assert res.ipc == ref.ipc
     assert res.elements_per_iter == ref.elements_per_iter
@@ -103,13 +113,14 @@ def fresh_state():
 
 class TestBatchGoldenEquivalence:
     def test_full_suite_bit_exact_vs_event_driven(self):
-        """One batch over the whole catalog == per-point fast scheduler."""
+        """One batch over the whole catalog == every point stepped alone
+        through the event-driven engine, bit for bit: an answer does not
+        depend on which other lanes share its batch."""
         results = schedule_batch(_suite_requests(), cache=False)
         assert len(results) == len(POINTS)
         for (loop, tc), res in zip(POINTS, results):
-            ref = PipelineScheduler(_march_for(tc)).steady_state(
-                _stream_for(loop, tc))
-            assert_bit_exact(res, ref)
+            assert_bit_exact(res, _alone(_march_for(tc),
+                                         _stream_for(loop, tc)))
 
     def test_full_suite_matches_seed_reference(self):
         """The same batch also reproduces the frozen seed scheduler."""
@@ -120,26 +131,33 @@ class TestBatchGoldenEquivalence:
             assert_results_match(res, ref)
 
     def test_windowed_requests_bit_exact(self):
-        """Explicit (and mixed) windows replicate the scalar scheduler."""
+        """Explicit (and mixed) windows in one batch: bit-exact against
+        each window alone, and the seed scheduler at that window."""
         march = _march_for("fujitsu")
         stream = _stream_for("predicate", "fujitsu")
         requests = [(march, stream, w) for w in (1, 2, 8, 32, None)]
         results = schedule_batch(requests, cache=False)
         for (_, _, w), res in zip(requests, results):
-            ref = PipelineScheduler(march, window=w).steady_state(stream)
-            assert_bit_exact(res, ref)
+            assert_bit_exact(res, _alone(march, stream, w))
+            assert_results_match(res, _seed(march, stream, w))
 
     @pytest.mark.parametrize("tc", list(TOOLCHAINS))
     def test_counter_payload_identical(self, tc):
-        """pipeline.* emissions match the scalar path bit-for-bit."""
+        """pipeline.* emissions of a two-lane batch equal the two lanes
+        run one after the other, bit for bit, and the seed scheduler's
+        at 1e-9."""
         march = _march_for(tc)
-        for loop in ("gather", "sqrt"):
-            stream = _stream_for(loop, tc)
-            with ProfileScope("scalar") as scalar:
-                PipelineScheduler(march).steady_state(stream)
-            with ProfileScope("batched") as batched:
-                schedule_batch([(march, stream)], cache=False)
-            assert batched.as_dict() == scalar.as_dict()
+        streams = [_stream_for(loop, tc) for loop in ("gather", "sqrt")]
+        with ProfileScope("alone") as alone:
+            for stream in streams:
+                _alone(march, stream)
+        with ProfileScope("seed") as seed:
+            for stream in streams:
+                _seed(march, stream)
+        with ProfileScope("batched") as batched:
+            schedule_batch([(march, s) for s in streams], cache=False)
+        assert batched.as_dict() == alone.as_dict()
+        assert batched.as_dict() == pytest.approx(seed.as_dict(), rel=RTOL)
 
     def test_issue_slot_identity_holds(self):
         """issue_slots.total == used + stalled on the batched path."""
@@ -178,14 +196,15 @@ class TestBatchCacheSemantics:
             assert_bit_exact(b, a)
 
     def test_cache_hit_emissions_match_scalar_hit(self):
+        """A hit in a batch emits what a cached_schedule hit emits."""
         march = _march_for("gnu")
         stream = _stream_for("scatter", "gnu")
-        cached_schedule(march, stream)  # prime via the scalar front
-        with ProfileScope("scalar-hit") as scalar:
+        cached_schedule(march, stream)  # prime via the per-point front
+        with ProfileScope("point-hit") as point:
             cached_schedule(march, stream)
         with ProfileScope("batch-hit") as batch:
             schedule_batch([(march, stream)])
-        assert batch.as_dict() == scalar.as_dict()
+        assert batch.as_dict() == point.as_dict()
 
     def test_duplicates_simulated_once_and_counted_as_hits(self):
         """N copies of one point: one miss, N-1 hits, identical labeled
@@ -195,13 +214,13 @@ class TestBatchCacheSemantics:
         results = schedule_batch([(march, stream)] * 5)
         assert get_cache().stats()["misses"] == 1.0
         assert get_cache().stats()["hits"] == 4.0
-        ref = PipelineScheduler(march).steady_state(stream)
         for res in results:
-            assert_bit_exact(res, ref)
+            assert_bit_exact(res, results[0])
+        assert_results_match(results[0], _seed(march, stream))
 
     def test_label_dedup_shares_one_simulation(self):
         """Streams differing only by label share one entry but keep
-        their own labels, like the content-addressed scalar cache."""
+        their own labels."""
         march = _march_for("intel")
         base = _stream_for("predicate", "intel")
         from dataclasses import replace
@@ -226,8 +245,7 @@ class TestBatchCacheSemantics:
         stream = _stream_for("simple", "arm")
         res = schedule_batch([(march, stream)])[0]
         assert get_cache().stats()["entries"] == 0.0
-        assert_bit_exact(
-            res, PipelineScheduler(march).steady_state(stream))
+        assert_results_match(res, _seed(march, stream))
 
     def test_entry_reusable_by_scalar_front(self):
         """Entries stored by the batch are served to cached_schedule."""
@@ -241,23 +259,24 @@ class TestBatchCacheSemantics:
 
 
 class TestBatchSweepRouting:
+    """Sweep rows (always one batch) equal the per-point oracle."""
+
     def test_forced_batch_rows_match_scalar_rows(self):
-        serial = run_sweep(POINTS, mode="serial", batch=False)
+        expected = oracle_rows(POINTS)
         configure()
         clear_memos()
-        batched = run_sweep(POINTS, mode="serial", batch=True)
-        assert batched == serial
+        assert run_sweep(POINTS, mode="serial") == expected
 
     def test_sweep_counters_and_stats_match(self):
-        with ProfileScope("scalar") as scalar:
-            run_sweep(POINTS, mode="serial", batch=False)
-        scalar_stats = get_cache().stats()
+        with ProfileScope("oracle") as oracle:
+            oracle_rows(POINTS)
+        oracle_stats = get_cache().stats()
         configure()
         clear_memos()
         with ProfileScope("batched") as batched:
-            run_sweep(POINTS, mode="serial", batch=True)
-        assert batched.as_dict() == scalar.as_dict()
-        assert get_cache().stats() == scalar_stats
+            run_sweep(POINTS, mode="serial")
+        assert batched.as_dict() == oracle.as_dict()
+        assert get_cache().stats() == oracle_stats
 
     def test_mixed_tier_sweep(self):
         """ECM points interleave with batched engine points in order."""
@@ -265,20 +284,13 @@ class TestBatchSweepRouting:
                   ("predicate", "gnu"),
                   ("sqrt", "arm", None, "ecm"),
                   ("gather", "fujitsu")]
-        scalar = run_sweep(points, mode="serial", batch=False)
+        expected = oracle_rows(points)
         configure()
         clear_memos()
-        rows = run_sweep(points, mode="serial", batch=True)
-        assert rows == scalar
+        rows = run_sweep(points, mode="serial")
+        assert rows == expected
         assert [r["tier"] for r in rows] == ["ecm", "engine",
                                              "ecm", "engine"]
-
-    def test_env_kill_switch_forces_scalar_path(self, monkeypatch):
-        """REPRO_BATCH_SCHEDULE=off: rows still correct (scalar path)."""
-        monkeypatch.setenv("REPRO_BATCH_SCHEDULE", "off")
-        rows = run_sweep(POINTS[:10], mode="serial")
-        ref = run_sweep(POINTS[:10], mode="serial", batch=False)
-        assert rows == ref
 
 
 class TestBatchObservers:
@@ -302,8 +314,8 @@ class TestBatchObservers:
         rec = records[0]
         assert rec.march is march
         assert rec.issues  # issue events were captured
-        assert_bit_exact(
-            rec.result, PipelineScheduler(march).steady_state(stream))
+        assert_bit_exact(rec.result, _alone(march, stream))
+        assert_results_match(rec.result, _seed(march, stream))
 
 
 class TestBatchErrors:
@@ -344,5 +356,5 @@ class TestBatchErrors:
                     (_march_for("cray"), _stream_for("sqrt", "cray"))]
         results = schedule_batch(requests, cache=False)
         for (march, stream), res in zip(requests, results):
-            assert_bit_exact(
-                res, PipelineScheduler(march).steady_state(stream))
+            assert_bit_exact(res, _alone(march, stream))
+            assert_results_match(res, _seed(march, stream))

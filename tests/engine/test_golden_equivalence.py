@@ -1,11 +1,12 @@
-"""Golden equivalence: every fast path must reproduce the seed scheduler.
+"""Golden equivalence: every entry point must reproduce the seed scheduler.
 
-The event-driven core, the steady-state extrapolation, the schedule
-cache, and the parallel sweep runner are pure optimizations — the
-contract (enforced here at 1e-9 relative, in practice bit-exact) is that
-``ScheduleResult`` and the emitted ``pipeline.*`` counters are unchanged
-from the preserved seed implementation in
-:mod:`repro.engine._reference`.
+The engine's event-driven lanes, the steady-state extrapolation, the
+schedule cache, and the sweep runner are pure optimizations — the
+contract (enforced here at 1e-9 relative; busy-cycle sums may differ in
+the last bit under period detection) is that ``ScheduleResult`` and the
+emitted ``pipeline.*`` counters are unchanged from the preserved seed
+implementation in :mod:`repro.engine._reference`, and that the
+front-end slot identity holds exactly on every path.
 """
 
 import pytest
@@ -16,15 +17,15 @@ from repro.engine._reference import ReferenceScheduler
 from repro.engine.cache import cached_schedule, configure, get_cache
 from repro.engine.scheduler import PipelineScheduler
 from repro.engine.sweep import run_sweep
-from repro.kernels.loops import LOOP_NAMES, build_loop
+from repro.kernels.loops import LOOP_NAMES, MATH_LOOP_NAMES, build_loop
 from repro.machine.microarch import A64FX, SKYLAKE_6140
 from repro.perf.counters import ProfileScope
 
 RTOL = 1e-9
 
-#: all Fig. 1 loop variants plus two Fig. 2 math kernels (a cheap one
-#: and the FSQRT blocking case), crossed with all five toolchains
-KERNELS = LOOP_NAMES + ("sqrt", "exp")
+#: all Fig. 1 loop variants and Fig. 2 math kernels (the FSQRT blocking
+#: case included), crossed with all five toolchains
+KERNELS = LOOP_NAMES + MATH_LOOP_NAMES
 POINTS = [(loop, tc) for loop in KERNELS for tc in TOOLCHAINS]
 
 
@@ -84,8 +85,9 @@ class TestGoldenEquivalence:
         assert_results_match(cached_schedule(march, stream), ref)  # hit
 
     def test_counter_payload_matches_seed(self, loop, tc):
-        """pipeline.* counters: fresh fast path, cached hit and the seed
-        scheduler all emit the same values."""
+        """pipeline.* counters: fresh schedule, cached hit and the seed
+        scheduler all emit the same values; the slot identity holds
+        exactly on the fresh and cached paths."""
         march, stream = _march_for(tc), _stream_for(loop, tc)
         with ProfileScope("ref") as ref_counters:
             ReferenceScheduler(march).steady_state(stream)
@@ -96,6 +98,10 @@ class TestGoldenEquivalence:
             cached_schedule(march, stream)
         expected = ref_counters.as_dict()
         assert fast_counters.as_dict() == pytest.approx(expected, rel=RTOL)
+        for counters in (fast_counters, hit_counters):
+            assert (counters["pipeline.issue_slots.total"]
+                    == counters["pipeline.issue_slots.used"]
+                    + counters["pipeline.issue_slots.stalled"])
         hit_pipeline = {
             k: v for k, v in hit_counters.as_dict().items()
             if k.startswith("pipeline.")

@@ -5,7 +5,8 @@ import pickle
 import pytest
 
 from repro.compilers.codegen import compile_loop
-from repro.compilers.toolchains import get_toolchain
+from repro.compilers.toolchains import TOOLCHAINS, get_toolchain
+from repro.engine._reference import ReferenceScheduler
 from repro.engine.batch import clear_tables, schedule_batch
 from repro.engine.cache import configure, get_cache
 from repro.engine.scheduler import (
@@ -15,7 +16,7 @@ from repro.engine.scheduler import (
 )
 from repro.engine.shard import schedule_batch_sharded
 from repro.engine.sweep import PoolDowngradeWarning, last_effective_mode
-from repro.kernels.loops import build_loop
+from repro.kernels.loops import LOOP_NAMES, MATH_LOOP_NAMES, build_loop
 from repro.machine.microarch import A64FX, SKYLAKE_6140
 from repro.perf.counters import ProfileScope
 
@@ -56,12 +57,36 @@ class TestShardedEqualsSerial:
         assert sharded == serial
 
     def test_matches_scalar_scheduler(self):
+        """Sharded results match the frozen seed scheduler (1e-9)."""
         reqs = _requests()
         sharded = schedule_batch_sharded(reqs, cache=False, max_workers=3)
         for (march, stream, window), result in zip(reqs, sharded):
-            scalar = PipelineScheduler(march, window=window) \
+            ref = ReferenceScheduler(march, window=window) \
                 .steady_state(stream)
-            assert result == scalar
+            assert result.cycles_per_iter == pytest.approx(
+                ref.cycles_per_iter, rel=1e-9)
+            assert result.ipc == pytest.approx(ref.ipc, rel=1e-9)
+            assert result.bound == ref.bound
+            assert result.label == ref.label
+            for pipe, occ in ref.pipe_occupancy.items():
+                assert result.pipe_occupancy[pipe] == pytest.approx(
+                    occ, rel=1e-9, abs=1e-9)
+
+    def test_grid_requests_bit_identical(self):
+        """Every Fig. 1/2 loop x toolchain x window (None, 8, 24, 48)
+        sharded over a process pool equals the serial batch."""
+        reqs = []
+        for loop in LOOP_NAMES + MATH_LOOP_NAMES:
+            for tc_name in TOOLCHAINS:
+                tc = get_toolchain(tc_name)
+                march = SKYLAKE_6140 if tc.target == "x86" else A64FX
+                stream = compile_loop(build_loop(loop), tc, march).stream
+                reqs += [(march, stream, w) for w in (None, 8, 24, 48)]
+        serial = schedule_batch(reqs, cache=False)
+        clear_memos()
+        clear_tables()
+        sharded = schedule_batch_sharded(reqs, cache=False, max_workers=2)
+        assert sharded == serial
 
     def test_counters_and_stats_match_serial_batch(self):
         reqs = _requests()

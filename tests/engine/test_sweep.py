@@ -1,19 +1,22 @@
-"""Tests for the parallel sweep runner."""
+"""Tests for the sweep runner.
+
+``run_sweep`` predicts every sweep as one batch; its rows must equal
+the per-point oracle in :mod:`tests.engine.sweep_oracle`.
+"""
 
 import pytest
 
 from repro.compilers.cache import configure_compile_cache, get_compile_cache
 from repro.engine.cache import configure, get_cache
 from repro.engine.sweep import (
-    BATCH_MIN_POINTS,
     PoolDowngradeWarning,
     SweepPoint,
-    batch_min_points,
     last_effective_mode,
     map_schedules,
     run_sweep,
 )
 from repro.perf.counters import ProfileScope, emit
+from tests.engine.sweep_oracle import oracle_rows
 
 
 @pytest.fixture(autouse=True)
@@ -129,7 +132,7 @@ class TestMachineAxis:
 
     def test_batched_matches_per_point_with_machines(self):
         """Mixed machine/default points through the batch path equal
-        the per-point path row for row."""
+        the per-point oracle row for row."""
         points = [
             SweepPoint(loop, tc, tier=tier, machine=machine)
             for loop in ("simple", "sqrt")
@@ -137,10 +140,10 @@ class TestMachineAxis:
                                 ("fujitsu", "a64fx"), ("intel", None))
             for tier in ("engine", "ecm")
         ]
-        per_point = run_sweep(points, batch=False)
+        per_point = oracle_rows(points)
         configure()
         configure_compile_cache()
-        batched = run_sweep(points, batch=True)
+        batched = run_sweep(points)
         assert batched == per_point
 
     def test_core_only_machine_ecm_raises(self):
@@ -156,7 +159,7 @@ class TestMachineAxis:
 
 
 def _mixed_grid():
-    """An engine+ecm grid large enough to route through the batch."""
+    """A small engine+ecm grid over two windows."""
     return [
         SweepPoint(loop, tc, window=win, tier=tier)
         for loop in ("simple", "gather", "exp")
@@ -169,18 +172,18 @@ def _mixed_grid():
 class TestProcessSweep:
     def test_rows_match_serial_per_point(self):
         points = _mixed_grid()
-        serial = run_sweep(points, mode="serial", batch=False)
+        serial = oracle_rows(points)
         configure()
         configure_compile_cache()
         sharded = run_sweep(points, mode="process", max_workers=3)
         assert sharded == serial
 
     def test_counters_and_stats_merge_exactly(self):
-        """Sharded process sweep == serial per-point sweep, counter for
+        """Sharded process sweep == the per-point oracle, counter for
         counter and schedule-cache stat for stat."""
         points = _mixed_grid()
         with ProfileScope("serial") as serial_counters:
-            run_sweep(points, mode="serial", batch=False)
+            oracle_rows(points)
         serial_stats = get_cache().stats()
         configure()
         configure_compile_cache()
@@ -194,7 +197,7 @@ class TestProcessSweep:
             raise OSError("no fork in sandbox")
 
         points = _mixed_grid()
-        serial = run_sweep(points, mode="serial", batch=False)
+        serial = oracle_rows(points)
         configure()
         configure_compile_cache()
         monkeypatch.setattr(
@@ -205,42 +208,45 @@ class TestProcessSweep:
         assert rows == serial
 
 
-class TestBatchRouting:
-    def test_default_threshold(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_MIN_POINTS", raising=False)
-        assert batch_min_points() == BATCH_MIN_POINTS
+class TestBatchedEqualsOracle:
+    """Every sweep, of any size, is one batch equal to the oracle."""
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_MIN_POINTS", "2")
-        assert batch_min_points() == 2
-        # a two-point sweep now routes through the batch: the compile
-        # cache (only the batched path consults it) sees the points
-        run_sweep([("simple", "fujitsu"), ("gather", "fujitsu")])
-        assert get_compile_cache().stats()["misses"] == 2.0
-
-    def test_large_override_keeps_per_point(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_MIN_POINTS", "1000")
-        run_sweep(_mixed_grid())
-        assert get_compile_cache().stats()["misses"] == 0.0
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5"])
-    def test_invalid_env_value_raises(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_BATCH_MIN_POINTS", raw)
-        with pytest.raises(ValueError, match="REPRO_BATCH_MIN_POINTS"):
-            run_sweep([("simple", "fujitsu")] * 4)
-
-    def test_kill_switch_keeps_per_point(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_SCHEDULE", "off")
-        rows = run_sweep(_mixed_grid())
-        assert get_compile_cache().stats()["misses"] == 0.0
-        monkeypatch.delenv("REPRO_BATCH_SCHEDULE")
-        configure()
-        assert run_sweep(_mixed_grid()) == rows
-
-    def test_batch_true_forces_small_sweeps(self):
+    def test_small_sweeps_ride_the_batch(self):
         points = [("simple", "fujitsu"), ("gather", "intel")]
-        reference = run_sweep(points, batch=False)
-        configure()
-        rows = run_sweep(points, batch=True)
+        rows = run_sweep(points)
+        # only the batch path compiles through the content cache
         assert get_compile_cache().stats()["misses"] == 2.0
-        assert rows == reference
+        assert rows == oracle_rows(points)
+
+    def test_empty_sweep(self):
+        assert run_sweep([]) == []
+
+    def test_full_grid_rows_match_oracle(self):
+        """The 770-point mixed-tier window grid (every Fig. 1/2 loop x
+        every toolchain, 4 engine and 10 ECM windows) equals the
+        per-point oracle row for row, counter for counter and
+        schedule-cache stat for stat."""
+        from repro.compilers.toolchains import TOOLCHAINS
+        from repro.kernels.loops import LOOP_NAMES, MATH_LOOP_NAMES
+
+        points = [
+            SweepPoint(loop, tc, window=win, tier=tier)
+            for loop in LOOP_NAMES + MATH_LOOP_NAMES
+            for tc in TOOLCHAINS
+            for tier, windows in (
+                ("engine", (None, 8, 24, 48)),
+                ("ecm", (None, 2, 4, 8, 16, 24, 32, 48, 64, 96)),
+            )
+            for win in windows
+        ]
+        assert len(points) >= 512
+        with ProfileScope("oracle") as oracle_counters:
+            expected = oracle_rows(points)
+        oracle_stats = get_cache().stats()
+        configure()
+        configure_compile_cache()
+        with ProfileScope("batched") as batch_counters:
+            rows = run_sweep(points, mode="serial")
+        assert rows == expected
+        assert batch_counters.as_dict() == oracle_counters.as_dict()
+        assert get_cache().stats() == oracle_stats

@@ -1,14 +1,27 @@
 """Tests for the issue-trace capture and pipeline diagram."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.compilers.codegen import compile_loop
-from repro.compilers.toolchains import FUJITSU
+from repro.compilers.toolchains import FUJITSU, get_toolchain
 from repro.engine.scheduler import schedule_on
 from repro.engine.trace import capture_trace, render_pipeline_diagram
+from repro.kernels.catalog import build_kernel
 from repro.kernels.loops import build_loop
 from repro.machine.isa import Instruction, InstructionStream, Op, Pipe
-from repro.machine.microarch import A64FX
+from repro.machine.microarch import A64FX, SKYLAKE_6140
+
+#: issue logs and diagrams pinned from the scheduler's issue-callback
+#: simulation; key "<kernel>/<march name>"
+TRACE_GOLDEN = json.loads(
+    (Path(__file__).with_name("trace_golden.json")).read_text())
+
+GOLDEN_CASES = [(kernel, march) for kernel in ("exp", "gather", "sqrt")
+                for march in (A64FX, SKYLAKE_6140)]
 
 
 @pytest.fixture(scope="module")
@@ -94,3 +107,39 @@ class TestDiagram:
         # some cycle uses both FP pipes
         assert any({Pipe.FLA, Pipe.FLB} <= pipes
                    for pipes in by_cycle.values())
+
+
+def _rows(events):
+    return [[e.index, e.iteration, e.position, e.cycle, e.pipe.value,
+             e.mnemonic] for e in events]
+
+
+@pytest.mark.parametrize(
+    "kernel,march", GOLDEN_CASES,
+    ids=[f"{k}-{m.name}" for k, m in GOLDEN_CASES])
+class TestTraceGolden:
+    """Issue logs and diagrams are pinned event for event."""
+
+    def _case(self, kernel, march):
+        golden = TRACE_GOLDEN[f"{kernel}/{march.name}"]
+        tc = get_toolchain(golden["toolchain"])
+        stream = compile_loop(build_kernel(kernel), tc, march).stream
+        return golden, stream
+
+    def test_issue_log(self, kernel, march):
+        golden, stream = self._case(kernel, march)
+        assert _rows(capture_trace(march, stream)) == golden["events"]
+        assert _rows(capture_trace(march, stream, iterations=3,
+                                   window=8)) == golden["events_w8"]
+
+    def test_long_issue_log(self, kernel, march):
+        golden, stream = self._case(kernel, march)
+        rows = _rows(capture_trace(march, stream, iterations=24))
+        assert len(rows) == golden["events_24_count"]
+        blob = json.dumps(rows, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == \
+            golden["events_24_sha256"]
+
+    def test_diagram(self, kernel, march):
+        golden, stream = self._case(kernel, march)
+        assert render_pipeline_diagram(march, stream) == golden["diagram"]

@@ -100,6 +100,23 @@ class TestMachineGridPredictions:
             assert pred.seconds == scalar.seconds
             assert pred.bound == scalar.bound
 
+    def test_batch_matches_per_point_at_grid_scale(self):
+        """500 hypothetical machines x 4 kernels: every batched
+        prediction equals its per-point predict_compiled twin in every
+        field the grid reports."""
+        specs = grid_specs(500)
+        items, preds, skipped = machine_grid_predictions(
+            specs, kernels=("simple", "gather", "sqrt", "exp"))
+        assert len(items) + skipped == 4 * len(specs)
+
+        def key(p):
+            return (p.cycles_per_iter, p.elements_per_iter, p.n_iters,
+                    p.clock_ghz, p.bound, p.seconds)
+
+        per_point = [predict_compiled(c, system, window=win)
+                     for c, system, win in items]
+        assert list(map(key, preds)) == list(map(key, per_point))
+
     def test_fexpa_kernel_skips_machines_without_the_unit(self):
         """exp on RVV-based machines falls back past fujitsu/cray; the
         machines still compile via a non-FEXPA toolchain."""

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -134,7 +135,7 @@ class TestWorkerPool:
             assert resp["ok"] is True
         finally:
             server.stop()
-        # served answer matches the scalar path despite the downgrade
+        # served answer matches the serial server's despite the downgrade
         with PredictionServer() as serial:
             ref = serial.request(_predict(id=1, window=24))
         assert resp["result"] == ref["result"]
@@ -187,3 +188,16 @@ class TestTcpFrontend:
                     rb = b.request(_predict(id=2, window=8))
         assert ra["result"] == rb["result"]
         assert rb["provenance"]["cache"] == "hit"
+
+    def test_stop_returns_promptly_after_client_close(self):
+        """close() releases the connection, so stop() need not wait out
+        the handler thread's join timeout."""
+        with PredictionServer() as server:
+            frontend = TcpFrontend(server)
+            frontend.start()
+            client = ServeClient(frontend.address)
+            assert client.ping()["ok"] is True
+            client.close()
+            t0 = time.perf_counter()
+            frontend.stop()
+            assert time.perf_counter() - t0 < 1.0

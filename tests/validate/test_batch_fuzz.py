@@ -7,9 +7,9 @@ range ``run_fuzz_pass`` regresses) through **one** batch call, so the
 fuzz streams exercise cross-lane interleaving: lanes of wildly
 different lengths, marches and windows stepping in the same array
 program.  Results and ``pipeline.*`` counters must stay bit-exact
-against the scalar event-driven path and 1e-9-close to the frozen
-reference, and the strict invariant checker must accept every
-batch-recorded issue log.
+against the same streams stepped one at a time (batches of one) and
+1e-9-close to the frozen reference, and the strict invariant checker
+must accept every batch-recorded issue log.
 """
 
 import random
@@ -21,7 +21,7 @@ from repro.compilers.toolchains import TOOLCHAINS
 from repro.engine._reference import ReferenceScheduler
 from repro.engine.batch import clear_tables, schedule_batch
 from repro.engine.cache import configure, get_cache
-from repro.engine.scheduler import PipelineScheduler, clear_memos, schedule_on
+from repro.engine.scheduler import clear_memos, schedule_on
 from repro.machine.microarch import A64FX, SKYLAKE_6140
 from repro.perf.counters import ProfileScope
 from repro.validate.fuzz import random_loop
@@ -43,6 +43,11 @@ def _point_for(seed):
     return march, compile_loop(loop, tc, march).stream
 
 
+def _alone(march, stream):
+    """*stream* stepped as a batch of one, uncached."""
+    return schedule_batch([(march, stream)], cache=False)[0]
+
+
 @pytest.fixture(scope="module")
 def fuzz_points():
     return [_point_for(seed) for seed in SEEDS]
@@ -59,11 +64,12 @@ def fresh_state():
 
 class TestBatchFuzzDifferential:
     def test_one_batch_over_all_seeds_bit_exact(self, fuzz_points):
-        """All 25 fuzz streams in one batch == per-point fast path."""
+        """All 25 fuzz streams in one batch == each stream stepped
+        alone, bit for bit."""
         results = schedule_batch(fuzz_points, cache=False)
         assert len(results) == len(SEEDS)
         for seed, (march, stream), res in zip(SEEDS, fuzz_points, results):
-            ref = PipelineScheduler(march).steady_state(stream)
+            ref = _alone(march, stream)
             assert res.cycles_per_iter == ref.cycles_per_iter, f"seed {seed}"
             assert res.ipc == ref.ipc, f"seed {seed}"
             assert res.pipe_occupancy == ref.pipe_occupancy, f"seed {seed}"
@@ -80,13 +86,19 @@ class TestBatchFuzzDifferential:
 
     def test_counter_totals_match_scalar_run(self, fuzz_points):
         """One scope over the whole batch == one scope over the same
-        points scheduled one-by-one (same emissions, same order)."""
-        with ProfileScope("scalar") as scalar:
+        points scheduled one-by-one (same emissions, same order), and
+        1e-9-close to the frozen reference's emissions."""
+        with ProfileScope("alone") as alone:
             for march, stream in fuzz_points:
-                PipelineScheduler(march).steady_state(stream)
+                _alone(march, stream)
+        with ProfileScope("reference") as reference:
+            for march, stream in fuzz_points:
+                ReferenceScheduler(march).steady_state(stream)
         with ProfileScope("batched") as batched:
             schedule_batch(fuzz_points, cache=False)
-        assert batched.as_dict() == scalar.as_dict()
+        assert batched.as_dict() == alone.as_dict()
+        assert batched.as_dict() == pytest.approx(reference.as_dict(),
+                                                  rel=RTOL)
 
     def test_cache_fronted_batch_matches_sequential(self, fuzz_points):
         """With caching on, stats equal the sequential schedule_on run

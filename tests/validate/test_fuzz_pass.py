@@ -24,8 +24,8 @@ class TestGenerator:
 
 class TestDifferentialOracle:
     def test_regression_25_seeds_bit_exact(self):
-        """The shipped seed range must stay clean: the fast scheduler,
-        its full-simulation mode and the frozen reference agree, and
+        """The shipped seed range must stay clean: the engine, its
+        full-simulation mode and the frozen reference agree, and
         cache hits replay identical results + counters."""
         result = run_fuzz_pass(seeds=25)
         assert result.checked == 25

@@ -1,8 +1,9 @@
 """Differential fuzz through the grid-scale sweep fast paths.
 
 The batched-engine fuzz lane (:mod:`tests.validate.test_batch_fuzz`)
-pins ``schedule_batch`` against the scalar scheduler; this suite fuzzes
-the three layers PR 8 stacked on top of it — sharded simulation across
+pins ``schedule_batch`` against batches of one and the frozen
+reference; this suite fuzzes the three layers stacked on top of it —
+sharded simulation across
 a process pool, vectorized ECM batches, and the content-addressed
 compile cache — with the same shipped seed range.  Each layer must be
 an *invisible* optimization: bit-identical results, counters and cache

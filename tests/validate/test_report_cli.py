@@ -63,8 +63,7 @@ class TestParseCommand:
         # the registry and main()'s dispatch must not drift apart
         assert set(COMMANDS) == {
             "list", "run", "asm", "pipeline", "profile", "ecm", "verify",
-            "bench", "cache", "validate", "serve", "serve-bench",
-            "sweep", "machines",
+            "cache", "validate", "serve", "sweep", "machines",
         }
 
     @pytest.mark.parametrize("argv", [
@@ -76,7 +75,7 @@ class TestParseCommand:
         ["profile", "gather", "--system", "ookami", "--n", "100000"],
         ["profile", "exp", "cray", "--json"],
         ["verify"],
-        ["bench", "--quick", "--out", "BENCH.json"],
+        ["sweep", "--grid", "--machines", "8", "--json"],
         ["cache", "show"],
         ["cache"],
         ["validate", "--seeds", "25", "--json"],
@@ -85,7 +84,7 @@ class TestParseCommand:
         ["serve", "--stdin"],
         ["serve", "--port", "7080", "--batch-window", "2", "--max-batch",
          "64", "--workers", "4"],
-        ["serve-bench", "--quick", "--out", "BENCH_serve.json"],
+        ["machines", "report", "--out", "machines.json"],
     ])
     def test_valid_invocations(self, argv):
         assert parse_command(argv) == argv[0]
@@ -111,7 +110,7 @@ class TestParseCommand:
         ["serve", "--batch-window", "-1"],
         ["serve", "--workers", "0"],
         ["serve", "--frobnicate"],
-        ["serve-bench", "--frobnicate"],
+        ["bench", "--quick"],  # retired: the benchmark is benchmarks/e2e
     ])
     def test_invalid_invocations(self, argv):
         with pytest.raises(ValueError):

@@ -57,32 +57,45 @@ __all__ = [
 ]
 
 
+def _loop_blob(loop: Loop) -> str:
+    # IR nodes are frozen dataclasses whose ``repr`` is canonical; the
+    # array table is serialized in sorted-name order so construction
+    # order cannot split entries
+    return repr((loop.name, loop.length, loop.body,
+                 tuple(sorted(loop.arrays.items()))))
+
+
 def loop_fingerprint(loop: Loop) -> str:
     """Digest of everything about *loop* that lowering reads.
 
-    IR nodes are frozen dataclasses whose ``repr`` is canonical; the
-    array table is serialized in sorted-name order so construction
-    order cannot split entries.
+    Memoized per loop object like the toolchain and march digests: the
+    catalog's loops live for the whole process
+    (:func:`repro.kernels.catalog.build_kernel`), so their IR is hashed
+    once rather than on every compile-cache lookup.
     """
-    blob = repr((loop.name, loop.length, loop.body,
-                 tuple(sorted(loop.arrays.items()))))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return _pinned_fingerprint(loop, _loop_blob)
 
 
-#: fingerprints of process-lived catalog objects, keyed by id with the
-#: object pinned in the value so the id cannot be recycled
-_OBJ_FP: dict[int, tuple[object, str]] = {}
+#: fingerprints of process-lived objects (catalog loops, toolchains,
+#: marches), keyed by id with the object pinned in the value so the id
+#: cannot be recycled; LRU-bounded so objects built outside the catalogs
+#: cannot grow it without limit
+_OBJ_FP: OrderedDict[int, tuple[object, str]] = OrderedDict()
+_OBJ_FP_CAP = 4096
 _OBJ_FP_LOCK = threading.Lock()
 
 
-def _pinned_fingerprint(obj: object) -> str:
+def _pinned_fingerprint(obj: object, blob=repr) -> str:
     with _OBJ_FP_LOCK:
         hit = _OBJ_FP.get(id(obj))
         if hit is not None:
+            _OBJ_FP.move_to_end(id(obj))
             return hit[1]
-    fp = hashlib.sha256(repr(obj).encode()).hexdigest()
+    fp = hashlib.sha256(blob(obj).encode()).hexdigest()
     with _OBJ_FP_LOCK:
         _OBJ_FP[id(obj)] = (obj, fp)
+        while len(_OBJ_FP) > _OBJ_FP_CAP:
+            _OBJ_FP.popitem(last=False)
     return fp
 
 

@@ -115,17 +115,28 @@ class CompiledLoop:
         return schedule_on(self.march, self.stream)
 
     @property
-    def cycles_per_element(self) -> float:
-        """Compute-side cycles per source-loop element, including the
-        toolchain's quality factor: SIMD code-generation polish for
-        vectorized loops (where Fujitsu leads, Fig. 1), general optimizer
-        quality for scalar code (where GNU leads, Fig. 3)."""
-        factor = (
+    def quality_factor(self) -> float:
+        """The toolchain's quality factor: SIMD code-generation polish
+        for vectorized loops (where Fujitsu leads, Fig. 1), general
+        optimizer quality for scalar code (where GNU leads, Fig. 3)."""
+        return (
             self.toolchain.simd_quality
             if self.report.vectorized
             else self.toolchain.code_quality
         )
-        return self.schedule.cycles_per_element * factor
+
+    def cycles_per_element_for(self, schedule: ScheduleResult) -> float:
+        """Compute-side cycles per source-loop element of *schedule* (a
+        steady-state schedule of :attr:`stream`), including the
+        quality factor.  Batch paths pass the schedule they already
+        hold instead of storing it on this (possibly cached) object."""
+        return schedule.cycles_per_element * self.quality_factor
+
+    @property
+    def cycles_per_element(self) -> float:
+        """:meth:`cycles_per_element_for` the default-window
+        :attr:`schedule`."""
+        return self.cycles_per_element_for(self.schedule)
 
 
 def compile_loop(loop: Loop, toolchain: Toolchain, march: Microarch) -> CompiledLoop:

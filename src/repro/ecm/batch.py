@@ -161,9 +161,7 @@ def predict_batch(
         traffics.append(streams)
         clocks.append(clock)
         wins.append(win)
-        factors[i] = (compiled.toolchain.simd_quality
-                      if compiled.report.vectorized
-                      else compiled.toolchain.code_quality)
+        factors[i] = compiled.quality_factor
         overlap[i] = march.mem_overlap
         t_ol[i] = base.t_ol
         t_nol[i] = base.t_nol

@@ -215,8 +215,7 @@ def predict_compiled(
         active_cores_per_domain=active_cores_per_domain,
         placement_domains=placement_domains,
     )
-    factor = (compiled.toolchain.simd_quality if compiled.report.vectorized
-              else compiled.toolchain.code_quality)
+    factor = compiled.quality_factor
     cycles = _compose(summary, streams, factor, march.mem_overlap)
     return EcmPrediction(
         kernel=compiled.loop.name,
@@ -281,8 +280,7 @@ def engine_seconds_for(
         sched = PipelineScheduler(
             compiled.march, window=window
         ).steady_state(compiled.stream)
-    factor = (compiled.toolchain.simd_quality if compiled.report.vectorized
-              else compiled.toolchain.code_quality)
+    factor = compiled.quality_factor
     executed = replace(sched, cycles_per_iter=sched.cycles_per_iter * factor)
     run = KernelExecutor(system).run(
         executed, compiled.mem_streams, n_iters=compiled.n_iters

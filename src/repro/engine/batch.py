@@ -791,6 +791,9 @@ def _plan_batch(requests: Sequence[tuple], cache: bool) -> _BatchPlan:
     marches: list[Microarch] = []
     streams: list[InstructionStream] = []
     windows: list[int] = []
+    # callers hand the same stream object in once per window, so each
+    # distinct object is validated once; ids are stable for the call
+    validated: set[int] = set()
     for req in requests:
         march, stream, *rest = req
         window = rest[0] if rest and rest[0] is not None else march.window
@@ -798,7 +801,9 @@ def _plan_batch(requests: Sequence[tuple], cache: bool) -> _BatchPlan:
             raise ValueError("window must be >= 1")
         if len(stream) == 0:
             raise ValueError("cannot schedule an empty instruction stream")
-        stream.validate()
+        if id(stream) not in validated:
+            stream.validate()
+            validated.add(id(stream))
         marches.append(march)
         streams.append(stream)
         windows.append(window)

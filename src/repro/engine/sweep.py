@@ -297,16 +297,14 @@ def run_sweep(
     ecm_items: list[tuple] = []
     ecm_rows: list[tuple[int, dict]] = []
     for i, compiled, march, window, point_tier, req_idx in pending:
-        # pre-seed the cached property so cycles_per_element reuses the
-        # batch result instead of scheduling again
-        compiled.__dict__["schedule"] = results[req_idx]
         row = {
             "loop": specs[i][0],
             "toolchain": compiled.toolchain.name,
             "march": march.name,
             "window": window if window is not None else march.window,
             "tier": point_tier,
-            "model_cycles_per_element": compiled.cycles_per_element,
+            "model_cycles_per_element": compiled.cycles_per_element_for(
+                results[req_idx]),
         }
         machine = specs[i][4]
         if machine is not None:

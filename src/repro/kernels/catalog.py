@@ -12,6 +12,8 @@ SpMV kernel is actually requested.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro._util import require_in
 from repro.compilers.ir import Loop
 from repro.kernels.loops import LOOP_NAMES, MATH_LOOP_NAMES
@@ -36,8 +38,19 @@ def build_kernel(name: str, n: int | None = None) -> Loop:
     ``n`` means what it means for the underlying family: vector length
     for the suite loops (default L1-resident), matrix rows / grid points
     for the SpMV and stencil kernels (default DRAM-resident).
+
+    Building is a pure function of ``(name, n)`` and the IR is frozen
+    dataclasses, so results are memoized per process in a bounded LRU:
+    repeated calls return the *same* :class:`Loop`.  The returned IR is
+    shared by every caller and must not be mutated (that includes its
+    ``arrays`` mapping) — derive variants with ``dataclasses.replace``.
     """
     require_in(name, ALL_KERNEL_NAMES, "kernel name")
+    return _build(name, n)
+
+
+@lru_cache(maxsize=256)
+def _build(name: str, n: int | None) -> Loop:
     if name in SUITE_KERNEL_NAMES:
         from repro.kernels.loops import build_loop
 

@@ -201,9 +201,7 @@ def profile_kernel(
             sched = PipelineScheduler(sysobj.cpu, window=window).steady_state(
                 compiled.stream
             )
-        factor = (
-            tc.simd_quality if compiled.report.vectorized else tc.code_quality
-        )
+        factor = compiled.quality_factor
         # fold the toolchain code-quality factor into the executed
         # schedule so profile seconds match the figure pipeline's
         # cycles_per_element convention

@@ -14,9 +14,8 @@ window of added latency, while a loaded server executes ever larger
 batches at near-constant per-batch cost.
 
 ``max_batch=1`` (or a zero window) degenerates to strict
-one-request-at-a-time execution — the serve benchmark's naive baseline
-uses exactly that, so the measured speedup isolates batching + shared
-caches rather than transport differences.
+one-request-at-a-time execution — the admission setting of the
+reference path, ``PredictionServer(naive=True)``.
 """
 
 from __future__ import annotations

@@ -23,6 +23,14 @@ batch:
   (``deduped``), and how many requests its micro-batch carried
   (``batched_with``).
 
+Per-process kernel table: each (kernel, toolchain) combo's catalog IR,
+toolchain, march and compile key are resolved once per process
+(``_KERNELS``), so a batch whose answers are already cached does only
+lookups — no IR build, no IR hashing.  The table holds no cache state:
+every batch still asks the compile cache once per combo, so its
+statistics and the ``cache: hit|miss`` provenance read exactly as if
+the IR had been rebuilt (``tests/serve/test_hot_path.py``).
+
 Bit-exactness: the batched paths carry the engine's equivalence
 contract, so a served response is float-for-float identical to calling
 :func:`repro.engine.scheduler.schedule_on` /
@@ -119,6 +127,34 @@ def _bump(**deltas) -> None:
     with _STATS_LOCK:
         for name, delta in deltas.items():
             _STATS[name] += delta
+
+
+#: the per-process kernel table: (kernel, toolchain) -> (loop,
+#: toolchain, march, compile key).  Filled on a combo's first request,
+#: never invalidated: it holds only frozen catalog objects and their
+#: content key, no cache state, so batches still ask the compile cache
+#: (and move its statistics) exactly as if they had built the IR.
+#: Keys are validated protocol names, so the table is catalog-bounded.
+_KERNELS: dict[tuple[str, str], tuple] = {}
+
+
+def _kernel_entry(kernel: str, toolchain: str) -> tuple:
+    """The table entry for one (kernel, toolchain) combo."""
+    entry = _KERNELS.get((kernel, toolchain))
+    if entry is None:
+        from repro.compilers.cache import compile_key
+        from repro.compilers.toolchains import get_toolchain
+        from repro.kernels.catalog import build_kernel
+        from repro.machine.microarch import A64FX, SKYLAKE_6140
+
+        tc = get_toolchain(toolchain)
+        march = SKYLAKE_6140 if tc.target == "x86" else A64FX
+        loop = build_kernel(kernel)
+        # setdefault: racing servers in one process agree on one entry
+        entry = _KERNELS.setdefault(
+            (kernel, toolchain),
+            (loop, tc, march, compile_key(loop, tc, march)))
+    return entry
 
 
 def _probe_task() -> int:
@@ -274,12 +310,7 @@ class PredictionServer:
                     for it in items]
 
     def _run_batched(self, items: list[PredictRequest]) -> list[dict]:
-        from repro.compilers.cache import (
-            cached_compile,
-            compile_key,
-            get_compile_cache,
-        )
-        from repro.compilers.toolchains import get_toolchain
+        from repro.compilers.cache import cached_compile, get_compile_cache
         from repro.ecm.batch import predict_batch
         from repro.engine.batch import schedule_batch
         from repro.engine.cache import (
@@ -288,8 +319,6 @@ class PredictionServer:
             stream_fingerprint,
         )
         from repro.engine.shard import schedule_batch_sharded
-        from repro.kernels.catalog import build_kernel
-        from repro.machine.microarch import A64FX, SKYLAKE_6140
         from repro.machine.systems import get_system
         from repro.perf.profile import default_system_for
 
@@ -303,6 +332,8 @@ class PredictionServer:
         # Phase 1: compile every unique combo (content-cached), taking
         # the provenance peeks *before* any execution so "cache: hit"
         # uniformly means "resident in this process before this batch".
+        # The IR and compile key come from the per-process kernel table;
+        # the compile cache is still asked once per combo per batch.
         scache, ccache = get_cache(), get_compile_cache()
         compiled_of: dict[tuple[str, str], tuple] = {}
         for u in uniques:
@@ -311,10 +342,8 @@ class PredictionServer:
                 combo = (req.kernel, req.toolchain)
                 hit = compiled_of.get(combo)
                 if hit is None:
-                    tc = get_toolchain(req.toolchain)
-                    march = SKYLAKE_6140 if tc.target == "x86" else A64FX
-                    loop = build_kernel(req.kernel)
-                    resident = ccache.peek(compile_key(loop, tc, march))
+                    loop, tc, march, ckey = _kernel_entry(*combo)
+                    resident = ccache.peek(ckey)
                     hit = (cached_compile(loop, tc, march), march, resident)
                     compiled_of[combo] = hit
                 u.compiled, u.march, compile_resident = hit
@@ -359,7 +388,6 @@ class PredictionServer:
             if u.error is not None:
                 continue
             req = u.req
-            u.compiled.__dict__["schedule"] = results[u.req_idx]
             u.row = {
                 "loop": req.kernel,
                 "toolchain": u.compiled.toolchain.name,
@@ -367,7 +395,8 @@ class PredictionServer:
                 "window": (req.window if req.window is not None
                            else u.march.window),
                 "tier": req.tier,
-                "model_cycles_per_element": u.compiled.cycles_per_element,
+                "model_cycles_per_element":
+                    u.compiled.cycles_per_element_for(results[u.req_idx]),
             }
             if req.tier == "ecm":
                 u.row["system"] = u.system.name
@@ -444,8 +473,7 @@ class PredictionServer:
                 tc = get_toolchain(req.toolchain)
                 march = SKYLAKE_6140 if tc.target == "x86" else A64FX
                 compiled = compile_loop(build_kernel(req.kernel), tc, march)
-                compiled.__dict__["schedule"] = schedule_on(
-                    march, compiled.stream, cache=False)
+                default = schedule_on(march, compiled.stream, cache=False)
                 row = {
                     "loop": req.kernel,
                     "toolchain": tc.name,
@@ -453,7 +481,8 @@ class PredictionServer:
                     "window": (req.window if req.window is not None
                                else march.window),
                     "tier": req.tier,
-                    "model_cycles_per_element": compiled.cycles_per_element,
+                    "model_cycles_per_element":
+                        compiled.cycles_per_element_for(default),
                 }
                 if req.tier == "ecm":
                     system = get_system(

@@ -16,6 +16,7 @@ from repro.compilers.cache import (
 from repro.compilers.codegen import compile_loop
 from repro.compilers.toolchains import get_toolchain
 from repro.kernels.catalog import build_kernel
+from repro.kernels.loops import build_loop
 from repro.machine.microarch import A64FX, SKYLAKE_6140
 
 
@@ -34,8 +35,11 @@ def _compile(kernel="simple", tc_name="fujitsu"):
 
 class TestFingerprints:
     def test_rebuilt_loop_shares_a_fingerprint(self):
-        assert loop_fingerprint(build_kernel("gather")) == \
-            loop_fingerprint(build_kernel("gather"))
+        # the catalog memoizes, so rebuild from the loop builder
+        a, b = build_loop("gather"), build_loop("gather")
+        assert a is not b
+        assert loop_fingerprint(a) == loop_fingerprint(b)
+        assert loop_fingerprint(build_kernel("gather")) == loop_fingerprint(a)
 
     def test_fingerprint_sees_content(self):
         a = build_kernel("gather")
@@ -72,9 +76,10 @@ class TestHitDiscipline:
     def test_rebuilt_loop_hits(self):
         """Structurally identical loops share an entry even when the IR
         objects were rebuilt from scratch."""
-        _compile()
+        tc = get_toolchain("fujitsu")
+        cached_compile(build_loop("simple"), tc, A64FX)
         stats0 = get_compile_cache().stats()
-        _compile()
+        cached_compile(build_loop("simple"), tc, A64FX)
         stats1 = get_compile_cache().stats()
         assert stats1["hits"] == stats0["hits"] + 1
         assert stats1["misses"] == stats0["misses"]

@@ -12,10 +12,13 @@ are pure functions of content, so all but the first run is wasted work.
 * **toolchain fingerprint** — every codegen-relevant field of the
   frozen :class:`~repro.compilers.toolchains.Toolchain` (flags, math
   implementations, divide/sqrt strategy, unroll, quality factors);
-* **march fingerprint** — reuses
-  :func:`repro.engine.cache.march_fingerprint` (timing tables and
-  scheduler version), plus the lowering-relevant traits (vector width,
-  FEXPA, gather-pair coalescing).
+* **march fingerprint** — a digest of the frozen ``Microarch`` repr:
+  timing tables, the lowering-relevant traits (vector width, FEXPA,
+  gather-pair coalescing) *and the name*.  Unlike
+  :func:`repro.engine.cache.march_fingerprint`, which leaves the name
+  out, this key must keep it: a compiled loop carries its march, and
+  its labels and reports name the machine, so two machines that differ
+  only by name must not share a compilation.
 
 Hit discipline: a hit returns a **fresh** :class:`CompiledLoop` copy
 (``dataclasses.replace``) sharing the immutable loop/stream/report

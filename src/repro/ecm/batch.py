@@ -7,10 +7,11 @@ actually depends on the window.  :func:`predict_batch` exploits that:
 
 * the window-independent in-core base (port pressure, issue, critical
   path, recurrence chain — :func:`repro.ecm.incore._stream_base`) is
-  memoized per (march, body) and stacked into float64 arrays;
+  memoized per (core content, stream content) and stacked into float64
+  arrays;
 * per-stream boundary traffic (:func:`repro.ecm.traffic.data_cycles`)
-  is memoized per (hierarchy, streams, clock, cores, placement) and its
-  summed ``T_data`` stacked alongside;
+  is memoized per (hierarchy, streams, clock, cores, placement) value
+  and its summed ``T_data`` stacked alongside;
 * the window bounds and the overlap/non-overlap composition of
   :func:`repro.ecm.model._compose` are then evaluated for all points at
   once as numpy array arithmetic.
@@ -35,19 +36,19 @@ from repro.compilers.codegen import CompiledLoop
 from repro.ecm.incore import _stream_base, _summarize
 from repro.ecm.model import EcmPrediction
 from repro.ecm.traffic import StreamTraffic, data_cycles
+from repro.engine.cache import stream_fingerprint
 from repro.machine.numa import PagePlacement
 from repro.machine.systems import System
 
 __all__ = ["predict_batch", "clear_ecm_memos"]
 
-#: memoized window-independent in-core bases, keyed by
-#: (id(march), id(stream)) with both objects pinned in the value so
-#: their ids cannot be recycled — compile-cache hits share the same
-#: stream object, and id keys keep lookups O(1) instead of hashing the
-#: whole instruction body per point
+#: memoized window-independent in-core bases, keyed by content:
+#: (core key, stream fingerprint) — every core with equal issue width
+#: and timings shares one base per stream, whatever its name
 _BASE_MEMO: OrderedDict = OrderedDict()
-#: memoized (streams, t_data) traffic, keyed by (id(hierarchy),
-#: id(mem_streams), clock, cores, placement), pinned likewise
+#: memoized (streams, t_data) traffic, keyed by the values of the
+#: frozen hierarchy and memory-stream tuple plus clock, active cores
+#: and placement — equal memory systems share entries across machines
 _TRAFFIC_MEMO: OrderedDict = OrderedDict()
 _MEMO_CAP = 1024
 _MEMO_LOCK = threading.Lock()
@@ -65,13 +66,12 @@ def _memo_get(memo: OrderedDict, key):
         hit = memo.get(key)
         if hit is not None:
             memo.move_to_end(key)
-            return hit[1]
-    return None
+        return hit
 
 
-def _memo_put(memo: OrderedDict, key, pin, value) -> None:
+def _memo_put(memo: OrderedDict, key, value) -> None:
     with _MEMO_LOCK:
-        memo[key] = (pin, value)
+        memo[key] = value
         memo.move_to_end(key)
         while len(memo) > _MEMO_CAP:
             memo.popitem(last=False)
@@ -81,11 +81,11 @@ def _base_for(compiled: CompiledLoop):
     """The memoized window-independent in-core base for one point."""
     march = compiled.march
     stream = compiled.stream
-    key = (id(march), id(stream))
+    key = (march.core_key, stream_fingerprint(stream))
     base = _memo_get(_BASE_MEMO, key)
     if base is None:
         base = _stream_base(stream, march)
-        _memo_put(_BASE_MEMO, key, (march, stream), base)
+        _memo_put(_BASE_MEMO, key, base)
     return base
 
 
@@ -96,8 +96,8 @@ def _traffic_for(
     """Memoized (per-stream traffic, summed ``T_data``) for one point."""
     hier = system.hierarchy
     mem_streams = compiled.mem_streams
-    key = (id(hier), id(mem_streams), clock,
-           active_cores_per_domain, placement_domains)
+    key = (hier, mem_streams, clock, active_cores_per_domain,
+           placement_domains)
     hit = _memo_get(_TRAFFIC_MEMO, key)
     if hit is None:
         streams = data_cycles(
@@ -108,25 +108,28 @@ def _traffic_for(
         # same fold-left sum as EcmPrediction.t_data_cycles / _compose
         t_data = sum(s.cycles_per_iter for s in streams)
         hit = (streams, t_data)
-        _memo_put(_TRAFFIC_MEMO, key, (hier, mem_streams), hit)
+        _memo_put(_TRAFFIC_MEMO, key, hit)
     return hit
 
 
 def predict_batch(
-    items: Sequence[tuple[CompiledLoop, System, int | None]],
+    items: Sequence[tuple],
     *,
     allcore: bool = False,
     active_cores_per_domain: int = 1,
     placement: PagePlacement = PagePlacement.FIRST_TOUCH,
 ) -> list[EcmPrediction]:
-    """Predict many ``(compiled, system, window)`` points in one pass.
+    """Predict many ``(compiled, system, window[, cores])`` points at once.
 
     Returns one :class:`~repro.ecm.model.EcmPrediction` per item, in
     item order, each bit-identical to
     ``predict_compiled(compiled, system, window=window, ...)`` with the
-    same keyword configuration.  Shared (march, body) and (system,
-    streams) components are analyzed once and stacked; only the
-    composed arithmetic runs per point, vectorized.
+    same keyword configuration.  An optional fourth element sets that
+    item's ``active_cores_per_domain`` (the keyword is the default), so
+    points with different thread counts share one batch.  Shared
+    (core, stream) and (hierarchy, streams) components are analyzed
+    once and stacked; only the composed arithmetic runs per point,
+    vectorized.
     """
     if not items:
         return []
@@ -147,13 +150,14 @@ def predict_batch(
     n_arr = np.empty(n_items, dtype=np.float64)
     win_arr = np.empty(n_items, dtype=np.float64)
     t_data = np.empty(n_items, dtype=np.float64)
-    for i, (compiled, system, window) in enumerate(items):
+    for i, (compiled, system, window, *cores) in enumerate(items):
         march = compiled.march
         clock = (system.cpu.allcore_clock_ghz if allcore
                  else system.cpu.clock_ghz)
         base = _base_for(compiled)
         streams, td = _traffic_for(
-            compiled, system, clock, active_cores_per_domain,
+            compiled, system, clock,
+            cores[0] if cores else active_cores_per_domain,
             placement_domains,
         )
         win = march.window if window is None else window
@@ -183,7 +187,7 @@ def predict_batch(
     cycles = np.where(overlap, overlap_cycles, non_overlap_cycles)
 
     out: list[EcmPrediction] = []
-    for i, (compiled, system, _window) in enumerate(items):
+    for i, (compiled, system, *_rest) in enumerate(items):
         summary = _summarize(bases[i], wins[i])
         out.append(EcmPrediction(
             kernel=compiled.loop.name,

@@ -51,15 +51,16 @@ Two devices make the simulation cheap without changing a single result
 Scheduling many independent (stream, toolchain, machine) points adds
 batch-level structure on top:
 
-* **precompiled int-indexed tables** — per (march, body) the latencies,
-  reciprocal throughputs, pipe-candidate sets and dataflow edges are
-  resolved once into flat integer-indexed lists (:class:`_StreamTables`,
-  LRU-cached), so the inner loop never hashes an enum or re-derives a
-  dependency edge;
+* **precompiled int-indexed tables** — per (core content, stream) the
+  latencies, reciprocal throughputs, pipe-candidate sets and dataflow
+  edges are resolved once into flat integer-indexed lists
+  (:class:`_StreamTables`, LRU-cached), so the inner loop never hashes
+  an enum or re-derives a dependency edge;
 * **content-addressed deduplication** — requests with identical
   (march, stream, window) fingerprints simulate once and fan results
   back out per request (different toolchains frequently emit identical
-  streams for the same loop);
+  streams for the same loop, and machines that differ only by name or
+  by traits the scheduler does not read share one core fingerprint);
 * **array-stepped lanes** — each unique point is a :class:`_Lane`
   advanced in bounded super-steps under a numpy active mask; lanes
   whose period detection fires fast-forward and retire from the batch
@@ -197,11 +198,9 @@ class _StreamTables:
         return self
 
 
-#: LRU of precompiled tables, keyed by ``id(march)`` with the march
-#: pinned in the value so the id cannot be recycled while the entry lives
-_TABLES: OrderedDict[
-    tuple[int, tuple[Instruction, ...]], tuple[Microarch, _StreamTables]
-] = OrderedDict()
+#: LRU of precompiled tables, keyed by content: (core key, stream
+#: fingerprint), so every core with equal timings shares one table set
+_TABLES: OrderedDict[tuple[str, str], _StreamTables] = OrderedDict()
 _TABLES_CAP = 512
 _TABLES_LOCK = threading.Lock()
 
@@ -234,20 +233,23 @@ def _tables_disk_key(march: Microarch,
 
 
 def _tables_for(march: Microarch,
-                body: tuple[Instruction, ...]) -> _StreamTables:
-    """Fetch (or build) the precompiled tables for (march, body).
+                stream: InstructionStream) -> _StreamTables:
+    """Fetch (or build) the precompiled tables for (march, stream).
 
     With ``REPRO_CACHE_DIR`` set, table sets are also persisted as
     versioned JSON so shard workers (and later processes) load them
     instead of re-deriving timings and dataflow edges; corrupt or
     stale-format files are silently rebuilt.
     """
-    key = (id(march), body)
+    from repro.engine.cache import stream_fingerprint
+
+    key = (march.core_key, stream_fingerprint(stream))
     with _TABLES_LOCK:
         hit = _TABLES.get(key)
         if hit is not None:
             _TABLES.move_to_end(key)
-            return hit[1]
+            return hit
+    body = tuple(stream.body)
     disk_dir = _tables_disk_dir()
     path = (disk_dir / f"{_tables_disk_key(march, body)}.json"
             if disk_dir is not None else None)
@@ -268,7 +270,7 @@ def _tables_for(march: Microarch,
             except OSError:  # pragma: no cover - read-only cache dir
                 pass
     with _TABLES_LOCK:
-        _TABLES[key] = (march, tables)
+        _TABLES[key] = tables
         _TABLES.move_to_end(key)
         while len(_TABLES) > _TABLES_CAP:
             _TABLES.popitem(last=False)
@@ -808,15 +810,8 @@ def _plan_batch(requests: Sequence[tuple], cache: bool) -> _BatchPlan:
         streams.append(stream)
         windows.append(window)
 
-    mfp_memo: dict[tuple[int, int], str] = {}
-    keys: list[tuple[str, str]] = []
-    for march, stream, window in zip(marches, streams, windows):
-        mk = (id(march), window)
-        mfp = mfp_memo.get(mk)
-        if mfp is None:
-            mfp = march_fingerprint(march, window)
-            mfp_memo[mk] = mfp
-        keys.append((mfp, stream_fingerprint(stream)))
+    keys = [(march_fingerprint(march, window), stream_fingerprint(stream))
+            for march, stream, window in zip(marches, streams, windows)]
 
     cache_obj = get_cache() if (cache and enabled()) else None
     first_seen: dict[tuple[str, str], int] = {}
@@ -870,8 +865,8 @@ def _simulate_jobs(
     job subsets in separate processes composes to the same output.
     """
     lanes = [
-        _Lane(march, stream, window,
-              _tables_for(march, tuple(stream.body)), record, n_iters)
+        _Lane(march, stream, window, _tables_for(march, stream), record,
+              n_iters)
         for march, stream, window in jobs
     ]
     _run_lanes(lanes)

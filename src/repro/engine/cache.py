@@ -5,9 +5,13 @@ Every figure/table sweep in the reproduction re-schedules the same
 toolchains frequently emit *identical* instruction streams for the same
 loop.  This module keys schedules on content, not identity:
 
-* **march fingerprint** — the microarch name, issue width, effective
-  window, and the full op timing table (so editing a latency invalidates
-  every dependent schedule);
+* **march fingerprint** — the core's content identity
+  (:attr:`~repro.machine.microarch.Microarch.core_key`: issue width and
+  the full op timing table, so editing a latency invalidates every
+  dependent schedule) and the effective window.  The machine *name* is
+  deliberately excluded: no scheduler reads it, so machines that differ
+  only by name (a renamed preset, grid variants that differ only in
+  clock or memory) share one entry;
 * **stream fingerprint** — the instruction body (op, dest, srcs,
   carried, overrides) and ``elements_per_iter``.  The stream *label* is
   deliberately excluded: labels embed the toolchain name, and two
@@ -59,52 +63,49 @@ __all__ = [
 ]
 
 #: bump to invalidate all persisted entries when scheduler semantics move
-SCHEDULER_VERSION = 2
+SCHEDULER_VERSION = 3
 DISK_FORMAT = "repro.schedule-cache/1"
 
 _PIPE_BY_VALUE = {p.value: p for p in Pipe}
 
 
-#: identity-keyed fingerprint memos: content hashing walks the whole
-#: timing table / instruction body, but marches are module singletons
-#: and batched sweeps share one stream object across every window of a
-#: combo, so (id, pinned-object) lookups make repeat fingerprints O(1);
-#: the pinned object is compared with ``is`` to survive id recycling
-_MARCH_FP: dict[tuple[int, int], tuple[Microarch, str]] = {}
+#: march fingerprints by content, (core key, window): equal cores share
+#: one entry however many objects or names they come as
+_MARCH_FP: dict[tuple[str, int], str] = {}
+#: stream fingerprints by object identity: content hashing walks the
+#: whole instruction body, and batched sweeps share one stream object
+#: across every window of a combo, so (id, pinned-object) lookups make
+#: repeat fingerprints O(1); the pinned object is compared with ``is``
+#: to survive id recycling
 _STREAM_FP: dict[int, tuple[InstructionStream, str]] = {}
 _FP_MEMO_CAP = 4096
 
 
 def march_fingerprint(march: Microarch, window: int) -> str:
-    """Digest of everything about *march* that the scheduler reads."""
-    hit = _MARCH_FP.get((id(march), window))
-    if hit is not None and hit[0] is march:
-        return hit[1]
-    timing_rows = sorted(
-        (
-            op.value,
-            t.latency,
-            t.rtput,
-            sorted(p.value for p in t.pipes),
+    """Digest of everything about *march* that the scheduler reads.
+
+    That is the core's content identity (issue width and timing table,
+    :attr:`~repro.machine.microarch.Microarch.core_key`), the window,
+    the warm-up/measure iteration counts and :data:`SCHEDULER_VERSION`.
+    The name is not part of it.
+    """
+    key = (march.core_key, window)
+    fp = _MARCH_FP.get(key)
+    if fp is None:
+        blob = json.dumps(
+            [
+                SCHEDULER_VERSION,
+                march.core_key,
+                window,
+                PipelineScheduler.WARMUP_ITERS,
+                PipelineScheduler.MEASURE_ITERS,
+            ],
+            separators=(",", ":"),
         )
-        for op, t in march.timings.items()
-    )
-    blob = json.dumps(
-        [
-            SCHEDULER_VERSION,
-            march.name,
-            march.issue_width,
-            window,
-            PipelineScheduler.WARMUP_ITERS,
-            PipelineScheduler.MEASURE_ITERS,
-            timing_rows,
-        ],
-        separators=(",", ":"),
-    )
-    fp = hashlib.sha256(blob.encode()).hexdigest()
-    if len(_MARCH_FP) >= _FP_MEMO_CAP:
-        _MARCH_FP.clear()
-    _MARCH_FP[(id(march), window)] = (march, fp)
+        fp = hashlib.sha256(blob.encode()).hexdigest()
+        if len(_MARCH_FP) >= _FP_MEMO_CAP:
+            _MARCH_FP.clear()
+        _MARCH_FP[key] = fp
     return fp
 
 

@@ -47,7 +47,7 @@ def capture_trace(
     window = PipelineScheduler(march, window=window).window
     body = stream.body
     n_body = len(body)
-    lane = _Lane(march, stream, window, _tables_for(march, tuple(body)),
+    lane = _Lane(march, stream, window, _tables_for(march, stream),
                  True, iterations)
     _run_lanes([lane])
     events: list[IssueEvent] = []

@@ -7,7 +7,7 @@ out-of-order window x cache/HBM geometry around the A64FX, Skylake and
 RVV presets), run every (machine, kernel) point through the fast tiers,
 and report which machine wins each kernel.
 
-Two scale tricks keep thousands of machines cheap:
+Three scale tricks keep thousands of machines cheap:
 
 * **Compile sharing.**  The lowered instruction stream depends on the
   machine only through its codegen signature — float64 lanes plus the
@@ -22,6 +22,15 @@ Two scale tricks keep thousands of machines cheap:
   points through one :func:`repro.engine.shard.schedule_batch_sharded`
   call, so the existing vectorized/sharded fast paths — not a Python
   loop — do the heavy lifting.
+* **Content identity.**  The engine and ECM memos key a machine by
+  what the tier reads, not by its name or object:
+  :attr:`~repro.machine.microarch.Microarch.core_key` (issue width and
+  timing table) for schedules and in-core bases, the
+  :class:`~repro.machine.memory.MemoryHierarchy` values for traffic.
+  The default 1000-machine grid has 12 distinct cores and 24 distinct
+  hierarchies, so its 2000 engine requests deduplicate to 252 jobs
+  (the document's ``shard.jobs``) and its 6000 ECM points need 252
+  in-core analyses.
 
 Toolchains are chosen per machine from the ISA's target list (best
 SIMD code generator first); kernels whose recipe needs a missing ISA

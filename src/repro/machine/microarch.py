@@ -31,7 +31,10 @@ Key mechanisms encoded here that the paper's results hinge on:
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from repro._util import require_positive
@@ -75,6 +78,13 @@ def _t(latency: float, rtput: float, *pipes: Pipe) -> OpTiming:
     return OpTiming(latency, rtput, frozenset(pipes))
 
 
+#: core-key digests by (issue width, timing items): cores that share a
+#: timing table (every spec-built core with equal timings) serialize and
+#: hash it once, not once per core
+_CORE_KEYS: dict[tuple, str] = {}
+_CORE_KEYS_CAP = 4096
+
+
 @dataclass(frozen=True)
 class Microarch:
     """A per-core pipeline model.
@@ -97,7 +107,9 @@ class Microarch:
         Out-of-order scheduling window in instructions (bounds how much
         cross-iteration parallelism the scheduler may exploit).
     timings:
-        Map from :class:`Op` to :class:`OpTiming`.
+        Map from :class:`Op` to :class:`OpTiming`.  Spec-built cores
+        share one table per distinct timing tuple
+        (:mod:`repro.machine.spec`), so it must never be mutated.
     has_fexpa:
         Whether the ISA provides the ``FEXPA`` accelerator (SVE only).
     gather_pair_coalescing:
@@ -144,6 +156,34 @@ class Microarch:
             raise ValueError("issue_width and window must be >= 1")
 
     # -- derived quantities -------------------------------------------------
+    @cached_property
+    def core_key(self) -> str:
+        """Content identity of this core's timing model (a hex digest).
+
+        Covers what the scheduler and the ECM in-core analysis read from
+        a core apart from the window: the issue width and the full op
+        timing table.  The name, clocks and memory-side traits are left
+        out, so cores that differ only in those share every schedule,
+        table and in-core memo entry keyed on it.  Computed once per
+        object, which is sound because the timing table is never
+        mutated.
+        """
+        content = (self.issue_width, tuple(self.timings.items()))
+        key = _CORE_KEYS.get(content)
+        if key is None:
+            rows = sorted(
+                (op.value, t.latency, t.rtput,
+                 sorted(p.value for p in t.pipes))
+                for op, t in self.timings.items()
+            )
+            blob = json.dumps([self.issue_width, rows],
+                              separators=(",", ":"))
+            key = hashlib.sha256(blob.encode()).hexdigest()
+            if len(_CORE_KEYS) >= _CORE_KEYS_CAP:
+                _CORE_KEYS.clear()
+            _CORE_KEYS[content] = key
+        return key
+
     @property
     def lanes_f64(self) -> int:
         """Number of float64 lanes per vector register."""
@@ -197,8 +237,7 @@ class Microarch:
 # The paper's cores.  Since the machine-description refactor the numbers
 # live as declarative data in :mod:`repro.machine.spec` (same values,
 # same provenance); these constants are the cached builds of those
-# presets, so ``A64FX is A64FX_SPEC.build_core()`` holds and the
-# engines' id-keyed memo tables keep working unchanged.
+# presets, so ``A64FX is A64FX_SPEC.build_core()`` holds.
 # ---------------------------------------------------------------------------
 
 from repro.machine import spec as _spec  # noqa: E402  (bottom import breaks the import cycle)

@@ -19,7 +19,10 @@ the executable model objects on demand:
 
 Builds are cached per (value-equal) spec, so two equal specs — e.g.
 one round-tripped through JSON — resolve to the *same* ``Microarch``
-object, which keeps the engines' id-keyed memo tables effective.
+object, and cores built from equal timing tuples share one timing
+table.  The engines key their memos on a core's content
+(:attr:`~repro.machine.microarch.Microarch.core_key`), not on its name
+or object identity.
 
 The paper's machines are presets here (:data:`MACHINE_SPECS`):
 ``repro.machine.microarch.A64FX`` and friends are now *built from*
@@ -366,14 +369,27 @@ class MachineSpec:
 
 
 @lru_cache(maxsize=None)
-def _build_core(spec: MachineSpec):
-    from repro.machine.microarch import Microarch, OpTiming
+def _timing_table(timings: tuple[OpTimingSpec, ...]) -> dict:
+    """The ``Op -> OpTiming`` table for one spec timing tuple.
 
-    timings = {
+    Interned: every core built from equal timings shares this one dict
+    (the 1000-machine default grid builds 3 tables, not 1000), so callers
+    must never mutate it.  A plain dict rather than a read-only proxy,
+    because cores are pickled to shard workers.
+    """
+    from repro.machine.microarch import OpTiming
+
+    return {
         Op(t.op): OpTiming(t.latency, t.rtput,
                            frozenset(Pipe(p) for p in t.pipes))
-        for t in spec.timings
+        for t in timings
     }
+
+
+@lru_cache(maxsize=None)
+def _build_core(spec: MachineSpec):
+    from repro.machine.microarch import Microarch
+
     return Microarch(
         name=spec.name,
         vector_bits=spec.vector_bits,
@@ -381,7 +397,7 @@ def _build_core(spec: MachineSpec):
         allcore_clock_ghz=spec.allcore_clock_ghz,
         issue_width=spec.issue_width,
         window=spec.window,
-        timings=timings,
+        timings=_timing_table(spec.timings),
         has_fexpa=spec.resolved_has_fexpa,
         gather_pair_coalescing=spec.resolved_gather_pair_coalescing,
         fp_pipes=spec.fp_pipes,
@@ -444,6 +460,7 @@ def _build_system(spec: MachineSpec, name: str | None):
 
 def clear_build_caches() -> None:
     """Drop the cached Microarch/System builds (tests; pure caches)."""
+    _timing_table.cache_clear()
     _build_core.cache_clear()
     _build_system.cache_clear()
 
@@ -915,8 +932,8 @@ def grid_variants(
     sweeps vector length, issue width, out-of-order window and the
     cache/HBM geometry (per-domain DRAM/HBM bandwidth, last-level cache
     capacity).  Names encode the axes (``A64FX@vl256/iw2/w64/bw128/
-    l2-4m``), which keeps every content-addressed fingerprint in the
-    engines distinct.
+    l2-4m``) for reports; the engines key on content, so variants that
+    differ only in axes a tier does not read share its memo entries.
     """
     if base.memory is None:
         raise ValueError(f"{base.name}: grid variants need a memory spec")

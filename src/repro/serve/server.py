@@ -16,7 +16,8 @@ batch:
   pool via :func:`repro.engine.shard.schedule_batch_sharded` when the
   server was started with ``workers > 1``);
 * ECM-tier requests evaluate as one vectorized array program per
-  thread count (:func:`repro.ecm.batch.predict_batch`);
+  batch, each item carrying its own thread count
+  (:func:`repro.ecm.batch.predict_batch`);
 * every response records its provenance — whether the answer was
   already resident in this process before the batch ran (``cache``),
   whether the request coalesced onto an identical in-flight request
@@ -382,8 +383,9 @@ class PredictionServer:
             else:
                 results = schedule_batch(requests)
 
-        # Phase 3: compose rows; ECM uniques vectorize per thread count.
-        ecm_groups: OrderedDict[int, list[_Unique]] = OrderedDict()
+        # Phase 3: compose rows; every ECM unique rides one vectorized
+        # batch, each item carrying its own thread count.
+        ecm_members: list[_Unique] = []
         for u in uniques:
             if u.error is not None:
                 continue
@@ -401,7 +403,7 @@ class PredictionServer:
             if req.tier == "ecm":
                 u.row["system"] = u.system.name
                 u.row["threads"] = req.threads
-                ecm_groups.setdefault(req.threads, []).append(u)
+                ecm_members.append(u)
                 continue
             sched = results[u.req_idx + 1]
             u.row.update({
@@ -410,18 +412,16 @@ class PredictionServer:
                 "ipc": sched.ipc,
                 "bound": sched.bound,
             })
-        for threads, members in ecm_groups.items():
-            preds = predict_batch(
-                [(u.compiled, u.system, u.req.window) for u in members],
-                active_cores_per_domain=threads,
-            )
-            for u, pred in zip(members, preds):
-                u.row.update({
-                    "cycles_per_iter": pred.cycles_per_iter,
-                    "cycles_per_element": pred.cycles_per_element,
-                    "ipc": pred.incore.n_instrs / pred.cycles_per_iter,
-                    "bound": pred.bound,
-                })
+        preds = predict_batch(
+            [(u.compiled, u.system, u.req.window, u.req.threads)
+             for u in ecm_members])
+        for u, pred in zip(ecm_members, preds):
+            u.row.update({
+                "cycles_per_iter": pred.cycles_per_iter,
+                "cycles_per_element": pred.cycles_per_element,
+                "ipc": pred.incore.n_instrs / pred.cycles_per_iter,
+                "bound": pred.bound,
+            })
 
         # Phase 4: fan results back out to every admitted request.
         out: list[dict | None] = [None] * n

@@ -60,6 +60,23 @@ class TestBitExactness:
                 compiled, system, window=window, **kwargs)
             assert pred == scalar
 
+    def test_mixed_thread_counts_share_one_batch(self):
+        """Per-item core counts equal per-group calls and the scalar
+        model, exactly."""
+        threads = (1, 4, 12)
+        items = [item + (threads[i % 3],)
+                 for i, item in enumerate(_items()[::3])]
+        mixed = predict_batch(items)
+        for n in threads:
+            group = [item for item in items if item[3] == n]
+            per_group = predict_batch([item[:3] for item in group],
+                                      active_cores_per_domain=n)
+            assert per_group == [pred for item, pred in zip(items, mixed)
+                                 if item[3] == n]
+        for (compiled, system, window, n), pred in zip(items, mixed):
+            assert pred == predict_compiled(
+                compiled, system, window=window, active_cores_per_domain=n)
+
     def test_warm_memos_stay_exact(self):
         """Second pass (memo hits) returns the same predictions."""
         items = _items()[:10]

@@ -1,5 +1,6 @@
 """Tests for the content-addressed schedule cache."""
 
+import dataclasses
 import json
 
 import pytest
@@ -58,6 +59,20 @@ class TestFingerprints:
         }
         assert len(fps) == 4
 
+    def test_march_fingerprint_ignores_the_name(self):
+        renamed = dataclasses.replace(A64FX, name="renamed")
+        assert (march_fingerprint(renamed, renamed.window)
+                == march_fingerprint(A64FX, A64FX.window))
+
+    def test_march_fingerprint_sees_one_latency(self):
+        fma = A64FX.timings[Op.FMA]
+        slower = dataclasses.replace(A64FX, timings={
+            **A64FX.timings,
+            Op.FMA: dataclasses.replace(fma, latency=fma.latency + 1),
+        })
+        assert (march_fingerprint(slower, A64FX.window)
+                != march_fingerprint(A64FX, A64FX.window))
+
 
 class TestCachedSchedule:
     def test_hit_matches_fresh_and_is_relabeled(self):
@@ -70,6 +85,17 @@ class TestCachedSchedule:
         assert second.cycles_per_iter == fresh.cycles_per_iter
         assert first.label == "first"
         assert second.label == "second"
+        stats = get_cache().stats()
+        assert stats["misses"] == 1
+        assert stats["hits"] == 1
+
+    def test_renamed_march_hits(self):
+        """Machines that differ only by name share one entry."""
+        s = _stream()
+        first = cached_schedule(A64FX, s)
+        renamed = cached_schedule(
+            dataclasses.replace(A64FX, name="renamed"), s)
+        assert renamed == first
         stats = get_cache().stats()
         assert stats["misses"] == 1
         assert stats["hits"] == 1
@@ -176,6 +202,24 @@ class TestDiskLayer:
         res = cached_schedule(A64FX, s)
         assert res.cycles_per_iter > 0
         assert get_cache().stats()["disk_hits"] == 0
+
+    def test_entry_from_an_older_scheduler_version_is_not_read(
+            self, tmp_path, monkeypatch):
+        import repro.engine.cache as cache_mod
+
+        s = _stream()
+        with monkeypatch.context() as m:
+            m.setattr(cache_mod, "SCHEDULER_VERSION", 2)
+            m.setattr(cache_mod, "_MARCH_FP", {})
+            configure(disk_dir=tmp_path)
+            cached_schedule(A64FX, s)
+        assert len(list(tmp_path.glob("*.json"))) == 1
+        configure(disk_dir=tmp_path)
+        cached_schedule(A64FX, s)
+        stats = get_cache().stats()
+        assert stats["disk_hits"] == 0
+        assert stats["misses"] == 1
+        assert len(list(tmp_path.glob("*.json"))) == 2
 
     def test_clear_drops_disk_entries(self, tmp_path):
         configure(disk_dir=tmp_path)

@@ -7,12 +7,18 @@ signature, so a retargeted ``CompiledLoop`` must predict and schedule
 exactly like a direct per-machine compile.
 """
 
+import hashlib
+
 import pytest
 
+import repro.ecm.batch as ecm_batch
 from repro.compilers.cache import cached_compile
 from repro.compilers.toolchains import TOOLCHAINS
+from repro.ecm.batch import clear_ecm_memos
 from repro.ecm.model import predict_compiled
+from repro.engine.cache import configure
 from repro.engine.scheduler import PipelineScheduler
+from repro.engine.sweep import SweepPoint, run_sweep
 from repro.kernels.catalog import build_kernel
 from repro.machine.crossover import (
     DEFAULT_MACHINES,
@@ -28,7 +34,7 @@ from repro.machine.grid import (
     machine_grid_predictions,
     run_machine_grid,
 )
-from repro.machine.spec import grid_specs
+from repro.machine.spec import MACHINE_SPECS, grid_specs
 
 RTOL = 1e-9
 
@@ -153,6 +159,77 @@ class TestRunMachineGrid:
         specs = grid_specs(1000)
         assert len(specs) == 1000
         assert len({s.name for s in specs}) == 1000
+
+
+class TestContentIdentity:
+    """Machines are keyed by what the tiers read, not by name or id:
+    the default 1000-machine grid has 12 distinct cores and 24 distinct
+    memory hierarchies, so it pays per distinct core, not per name."""
+
+    def test_thousand_machine_grid_dedupes_by_content(self, monkeypatch):
+        calls = {"base": 0, "traffic": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ecm_batch, "_stream_base",
+                            counted("base", ecm_batch._stream_base))
+        monkeypatch.setattr(ecm_batch, "data_cycles",
+                            counted("traffic", ecm_batch.data_cycles))
+        configure()
+        clear_ecm_memos()
+        try:
+            doc = run_machine_grid(machines=1000, include_rows=True)
+        finally:
+            configure()
+            clear_ecm_memos()
+        assert doc["engine_points"] == 2000
+        assert doc["shard"]["jobs"] <= 300
+        assert calls["base"] <= 300
+        assert calls["traffic"] <= 450
+
+        items, _, _ = machine_grid_predictions(grid_specs(1000))
+        oracle = []
+        for compiled, system, window in items:
+            pred = predict_compiled(compiled, system, window=window)
+            oracle.append({
+                "kernel": compiled.loop.name,
+                "machine": compiled.march.name,
+                "toolchain": compiled.toolchain.name,
+                "seconds": pred.seconds,
+                "cycles_per_element": pred.cycles_per_element,
+                "bound": pred.bound,
+            })
+        assert doc["rows"] == oracle
+
+    def test_shared_timing_tables_are_not_mutated(self):
+        """Building the grid and sweeping the Skylake aliases (one
+        timing table, four names) leaves every interned table as it
+        was."""
+        specs = list(MACHINE_SPECS.values()) + grid_specs(1000)
+        cores = [spec.build_core() for spec in specs]
+        tables = list({id(c.timings): c.timings for c in cores}.values())
+        # one shared table per distinct timing tuple
+        assert len(tables) == len({spec.timings for spec in specs})
+
+        def digests():
+            return [hashlib.sha256(repr(t).encode()).hexdigest()
+                    for t in tables]
+
+        before = digests()
+        run_machine_grid(machines=1000)
+        points = [SweepPoint(kernel, "intel", window, tier, machine)
+                  for machine in ("skylake-6140", "skylake-6130",
+                                  "skylake-8160", "skx")
+                  for kernel in ("simple", "sqrt", "spmv_crs")
+                  for window in (None, 8)
+                  for tier in ("engine", "ecm")]
+        rows = run_sweep(points, mode="serial")
+        assert len(rows) == len(points)
+        assert digests() == before
 
 
 class TestCrossoverReport:

@@ -55,8 +55,9 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("key", PRESETS)
     def test_round_trip_builds_the_same_core(self, key):
-        """Value-equal specs share one cached Microarch — id-keyed
-        schedule/ECM memos keep working across a serialize/load hop."""
+        """Value-equal specs share one cached Microarch — identity
+        checks such as ``System.cpu is A64FX`` survive a serialize/load
+        hop."""
         spec = MACHINE_SPECS[key]
         rebuilt = MachineSpec.from_json(spec.to_json())
         assert rebuilt.build_core() is spec.build_core()

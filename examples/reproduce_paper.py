@@ -6,13 +6,12 @@ exponential study) and prints each artifact as a plain-text table.  This
 is the full evaluation section of 'A64FX performance: experience on
 Ookami', regenerated from the models in a few seconds.
 
-Run:  python examples/reproduce_paper.py [--parallel] [experiment-id ...]
+Run:  python examples/reproduce_paper.py [experiment-id ...]
       (no arguments = everything; ids: table1, fig1, fig2, sec4, fig3,
        fig4, fig5, fig6, table2, fig7, table3, fig8, fig9ab, fig9cd)
 
-``--parallel`` renders the experiments concurrently through the sweep
-runner (:mod:`repro.engine.sweep`); output order is unchanged, and the
-experiments share schedules through the content-addressed cache.
+The experiments render one after another in one process and share
+schedules through the content-addressed cache.
 """
 
 import sys
@@ -20,26 +19,20 @@ import time
 
 from repro.bench.harness import EXPERIMENTS
 from repro.bench.report import render_experiment
-from repro.engine.sweep import map_schedules
 
 
 def main(argv: list[str]) -> int:
-    parallel = "--parallel" in argv
-    ids = [a for a in argv if a != "--parallel"] or list(EXPERIMENTS)
+    ids = argv or list(EXPERIMENTS)
     unknown = [i for i in ids if i not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiment(s): {unknown}")
         print(f"available: {sorted(EXPERIMENTS)}")
         return 1
     t0 = time.perf_counter()
-    renders = map_schedules(
-        render_experiment, ids, mode="thread" if parallel else "serial"
-    )
-    for text in renders:
-        print(text)
+    for exp_id in ids:
+        print(render_experiment(exp_id))
     print(f"regenerated {len(ids)} artifacts in "
-          f"{time.perf_counter() - t0:.1f} s"
-          + (" (parallel)" if parallel else ""))
+          f"{time.perf_counter() - t0:.1f} s")
     return 0
 
 

@@ -28,7 +28,7 @@ Commands
 ``verify``
     Run the real-numerics headline checks (NPB EP/CG class S official
     verification, HPL residual, FFT parity, Sedov exponent).
-``serve [--stdin] [--host H] [--port N] [--batch-window MS] [--max-batch N] [--workers N]``
+``serve [--stdin] [--host H] [--port N] [--batch-window MS] [--max-batch N]``
     Run the persistent prediction server: JSON requests over a local
     socket (default; binds 127.0.0.1 and prints the address) or
     stdin/stdout lines (``--stdin``), answered with versioned
@@ -283,15 +283,14 @@ def _cmd_verify() -> int:
 def _parse_serve_flags(args: list[str]) -> dict:
     """Parse ``serve`` flags -> option dict (raises ValueError)."""
     opts: dict = {"stdin": False, "host": "127.0.0.1", "port": 0,
-                  "batch_window_ms": 2.0, "max_batch": 64, "workers": None}
+                  "batch_window_ms": 2.0, "max_batch": 64}
     i = 0
     while i < len(args):
         a = args[i]
         if a == "--stdin":
             opts["stdin"] = True
             i += 1
-        elif a in ("--host", "--port", "--batch-window", "--max-batch",
-                   "--workers"):
+        elif a in ("--host", "--port", "--batch-window", "--max-batch"):
             if i + 1 >= len(args):
                 raise ValueError(f"{a} expects a value")
             value = args[i + 1]
@@ -305,9 +304,8 @@ def _parse_serve_flags(args: list[str]) -> dict:
                     if opts["batch_window_ms"] < 0:
                         raise ValueError
                 else:
-                    opts["max_batch" if a == "--max-batch"
-                         else "workers"] = int(value)
-                    if int(value) < 1:
+                    opts["max_batch"] = int(value)
+                    if opts["max_batch"] < 1:
                         raise ValueError
             except ValueError:
                 raise ValueError(
@@ -326,13 +324,11 @@ def _cmd_serve(args: list[str]) -> int:
     except ValueError as exc:
         print(f"serve failed: {exc}")
         print("usage: python -m repro serve [--stdin] [--host H] "
-              "[--port N] [--batch-window MS] [--max-batch N] "
-              "[--workers N]")
+              "[--port N] [--batch-window MS] [--max-batch N]")
         return 1
     server = PredictionServer(
         batch_window=opts["batch_window_ms"] / 1e3,
         max_batch=opts["max_batch"],
-        workers=opts["workers"],
     )
     with server:
         if opts["stdin"]:

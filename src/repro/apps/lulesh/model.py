@@ -103,15 +103,10 @@ def _table2_row(name: str) -> dict[str, object]:
     return row
 
 
-def table2_rows(parallel: bool = False) -> list[dict[str, object]]:
+def table2_rows() -> list[dict[str, object]]:
     """All Table II rows: modeled vs paper values.
 
     The per-compiler cells share math-loop schedules through the
-    content-addressed cache (:mod:`repro.engine.cache`); *parallel*
-    fans the compilers out over the sweep runner."""
-    from repro.engine.sweep import map_schedules
-
-    return map_schedules(
-        _table2_row, ("arm", "cray", "fujitsu", "gnu", "intel"),
-        mode="thread" if parallel else "serial",
-    )
+    content-addressed cache (:mod:`repro.engine.cache`)."""
+    return [_table2_row(name)
+            for name in ("arm", "cray", "fujitsu", "gnu", "intel")]

@@ -97,26 +97,19 @@ def _loop_row_block(name: str) -> list[dict]:
     return rows
 
 
-def _loop_rows(loops: tuple[str, ...], parallel: bool = False) -> list[dict]:
-    from repro.engine.sweep import map_schedules
-
-    blocks = map_schedules(
-        _loop_row_block, loops, mode="thread" if parallel else "serial"
-    )
-    return [row for block in blocks for row in block]
+def _loop_rows(loops: tuple[str, ...]) -> list[dict]:
+    return [row for name in loops for row in _loop_row_block(name)]
 
 
-def fig1_loop_suite(loops: tuple[str, ...] = LOOP_NAMES,
-                    parallel: bool = False) -> list[dict]:
+def fig1_loop_suite(loops: tuple[str, ...] = LOOP_NAMES) -> list[dict]:
     """Fig. 1: simple/predicate/gather/scatter/short-* runtimes relative
     to Skylake + Intel."""
-    return _loop_rows(loops, parallel=parallel)
+    return _loop_rows(loops)
 
 
-def fig2_math_suite(loops: tuple[str, ...] = MATH_LOOP_NAMES,
-                    parallel: bool = False) -> list[dict]:
+def fig2_math_suite(loops: tuple[str, ...] = MATH_LOOP_NAMES) -> list[dict]:
     """Fig. 2: vectorized math-function runtimes relative to Skylake."""
-    return _loop_rows(loops, parallel=parallel)
+    return _loop_rows(loops)
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +243,9 @@ def _fig3_bench_rows(bench: str) -> list[dict]:
     return rows
 
 
-def fig3_npb_serial(parallel: bool = False) -> list[dict]:
+def fig3_npb_serial() -> list[dict]:
     """Fig. 3: single-core class C runtimes per compiler."""
-    from repro.engine.sweep import map_schedules
-
-    blocks = map_schedules(
-        _fig3_bench_rows, NPB_WORKLOADS,
-        mode="thread" if parallel else "serial",
-    )
-    return [row for block in blocks for row in block]
+    return [row for bench in NPB_WORKLOADS for row in _fig3_bench_rows(bench)]
 
 
 def fig4_npb_fullnode() -> list[dict]:
@@ -408,58 +395,28 @@ def fig8_dgemm() -> list[dict]:
     return rows
 
 
-def _fig9_hpl_point(spec: tuple[str, str, int]) -> dict:
+def fig9_hpl(nodes: tuple[int, ...] = (1, 2, 4, 8)) -> list[dict]:
+    """Fig. 9A/9B: HPL rates, single and multi node."""
     from repro.hpcc.hpl import hpl_rate_gflops
 
-    sys_key, lib_key, n = spec
-    return {
-        "system": sys_key,
-        "library": lib_key,
-        "nodes": n,
-        "gflops": hpl_rate_gflops(sys_key, lib_key, nodes=n),
-    }
-
-
-def fig9_hpl(nodes: tuple[int, ...] = (1, 2, 4, 8),
-             parallel: bool = False) -> list[dict]:
-    """Fig. 9A/9B: HPL rates, single and multi node."""
-    from repro.engine.sweep import map_schedules
-
-    specs = [
-        (sys_key, lib_key, n)
+    return [
+        {"system": sys_key, "library": lib_key, "nodes": n,
+         "gflops": hpl_rate_gflops(sys_key, lib_key, nodes=n)}
         for sys_key, lib_key in _HPCC_LA_PAIRS
         for n in nodes
         # the multi-node panel compares Ookami stacks
         if n == 1 or sys_key in ("ookami",)
     ]
-    return map_schedules(
-        _fig9_hpl_point, specs, mode="thread" if parallel else "serial"
-    )
 
 
-def _fig9_fft_point(spec: tuple[str, str, int]) -> dict:
+def fig9_fft(nodes: tuple[int, ...] = (1, 2, 4, 8)) -> list[dict]:
+    """Fig. 9C/9D: FFT rates, single and multi node."""
     from repro.hpcc.fft import fft_rate_gflops
 
-    sys_key, lib_key, n = spec
-    return {
-        "system": sys_key,
-        "library": lib_key,
-        "nodes": n,
-        "gflops": fft_rate_gflops(sys_key, lib_key, nodes=n),
-    }
-
-
-def fig9_fft(nodes: tuple[int, ...] = (1, 2, 4, 8),
-             parallel: bool = False) -> list[dict]:
-    """Fig. 9C/9D: FFT rates, single and multi node."""
-    from repro.engine.sweep import map_schedules
-
-    specs = [
-        (sys_key, lib_key, n)
+    return [
+        {"system": sys_key, "library": lib_key, "nodes": n,
+         "gflops": fft_rate_gflops(sys_key, lib_key, nodes=n)}
         for sys_key, lib_key in _HPCC_FFT_PAIRS
         for n in nodes
         if n == 1 or sys_key in ("ookami",)
     ]
-    return map_schedules(
-        _fig9_fft_point, specs, mode="thread" if parallel else "serial"
-    )

@@ -15,9 +15,10 @@ single-kernel execution, and the OpenMP-like threading model.
 * :mod:`repro.engine.cache` — content-addressed schedule cache
   (in-process LRU plus an opt-in on-disk JSON layer) keyed on march and
   stream fingerprints.
-* :mod:`repro.engine.sweep` — batched sweep runner and a parallel map
-  with exact profiling-counter merging (``run_sweep`` /
-  ``map_schedules``).
+* :mod:`repro.engine.sweep` — the batched sweep runner (``run_sweep``).
+* :mod:`repro.engine.shard` — the one parallel path: a batch's unique
+  lanes simulated across a process pool when the batch is large enough
+  to pay for it (``schedule_batch_sharded``).
 * :mod:`repro.engine.roofline` — peak/bandwidth ceilings and arithmetic
   intensity helpers.
 * :mod:`repro.engine.executor` — combines compute cycles with memory-
@@ -40,7 +41,7 @@ from repro.engine.scheduler import (
 )
 from repro.engine.batch import schedule_batch
 from repro.engine.cache import ScheduleCache
-from repro.engine.sweep import SweepPoint, map_schedules, run_sweep
+from repro.engine.sweep import SweepPoint, run_sweep
 from repro.engine.roofline import Roofline
 from repro.engine.executor import KernelExecutor, KernelRun
 from repro.engine.openmp import OpenMPModel, ParallelRun, RuntimeTraits
@@ -53,7 +54,6 @@ __all__ = [
     "schedule_batch",
     "ScheduleCache",
     "SweepPoint",
-    "map_schedules",
     "run_sweep",
     "Roofline",
     "KernelExecutor",

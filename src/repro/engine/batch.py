@@ -61,10 +61,9 @@ batch-level structure on top:
   back out per request (different toolchains frequently emit identical
   streams for the same loop, and machines that differ only by name or
   by traits the scheduler does not read share one core fingerprint);
-* **array-stepped lanes** — each unique point is a :class:`_Lane`
-  advanced in bounded super-steps under a numpy active mask; lanes
-  whose period detection fires fast-forward and retire from the batch
-  early, so one slow lane never serializes the rest;
+* **independent lanes** — each unique point is a :class:`_Lane` run
+  to completion in turn; lanes share nothing but the read-only tables,
+  so the order they run in changes no result;
 * **class-partitioned ready heaps** — ready instructions are grouped by
   pipe-candidate class; once a class has no pipe free this cycle it is
   skipped wholesale instead of re-popping and re-blocking each member;
@@ -92,14 +91,10 @@ re-simulated, hence not re-observed by schedule observers).
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import replace
 from heapq import heapify, heappop, heappush
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -124,10 +119,6 @@ __all__ = ["schedule_batch", "clear_tables"]
 _INF = float("inf")
 _N_PIPES = len(_PIPES)
 _PIPE_INDEX = {p: i for i, p in enumerate(_PIPES)}
-
-#: cycle-loop passes one lane runs per super-step round before the
-#: driver rotates to the next active lane
-_STEP_BUDGET = 512
 
 
 class _StreamTables:
@@ -166,37 +157,6 @@ class _StreamTables:
         self.cls_of = cls_of
         self.class_pipes = tuple(class_pipes)
 
-    # -- JSON round-trip for the shared disk layer ---------------------
-    def to_json(self) -> dict:
-        """Serialize the precompiled tables (floats round-trip exactly)."""
-        return {
-            "format": TABLES_FORMAT,
-            "lat": self.lat,
-            "rtp": self.rtp,
-            "cls_of": self.cls_of,
-            "class_pipes": [list(c) for c in self.class_pipes],
-            "deps": [[list(e) for e in d] for d in self.deps],
-            "consumers": [[list(e) for e in d] for d in self.consumers],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "_StreamTables":
-        """Rebuild tables persisted by :meth:`to_json`."""
-        if doc.get("format") != TABLES_FORMAT:
-            raise ValueError(f"unknown tables format {doc.get('format')!r}")
-        self = cls.__new__(cls)
-        self.lat = [float(v) for v in doc["lat"]]
-        self.rtp = [float(v) for v in doc["rtp"]]
-        self.cls_of = [int(v) for v in doc["cls_of"]]
-        self.class_pipes = tuple(
-            tuple(int(p) for p in c) for c in doc["class_pipes"])
-        self.deps = tuple(
-            tuple((int(p), int(d)) for p, d in dep) for dep in doc["deps"])
-        self.consumers = tuple(
-            tuple((int(p), int(d)) for p, d in con)
-            for con in doc["consumers"])
-        return self
-
 
 #: LRU of precompiled tables, keyed by content: (core key, stream
 #: fingerprint), so every core with equal timings shares one table set
@@ -204,43 +164,10 @@ _TABLES: OrderedDict[tuple[str, str], _StreamTables] = OrderedDict()
 _TABLES_CAP = 512
 _TABLES_LOCK = threading.Lock()
 
-#: disk format of persisted precompiled tables (bump on layout changes)
-TABLES_FORMAT = "repro.batch-tables/1"
-
-
-def _tables_disk_dir() -> Path | None:
-    """Where shard workers share precompiled tables (``REPRO_CACHE_DIR``)."""
-    root = os.environ.get("REPRO_CACHE_DIR")
-    return Path(root) / "tables" if root else None
-
-
-def _tables_disk_key(march: Microarch,
-                     body: tuple[Instruction, ...]) -> str:
-    """Content fingerprint of one table set (march timings + body)."""
-    from repro.engine.cache import march_fingerprint
-
-    # body-only digest (elements_per_iter does not shape the tables);
-    # the march side reuses the schedule cache's fingerprint, which
-    # already folds in the scheduler version and the full timing table
-    body_rows = [
-        (ins.op.value, ins.dest, list(ins.srcs), ins.carried,
-         ins.latency_override, ins.rtput_override)
-        for ins in body
-    ]
-    blob = json.dumps([TABLES_FORMAT, body_rows], separators=(",", ":"))
-    return (march_fingerprint(march, 0)[:16] + "-"
-            + hashlib.sha256(blob.encode()).hexdigest()[:32])
-
 
 def _tables_for(march: Microarch,
                 stream: InstructionStream) -> _StreamTables:
-    """Fetch (or build) the precompiled tables for (march, stream).
-
-    With ``REPRO_CACHE_DIR`` set, table sets are also persisted as
-    versioned JSON so shard workers (and later processes) load them
-    instead of re-deriving timings and dataflow edges; corrupt or
-    stale-format files are silently rebuilt.
-    """
+    """Fetch (or build) the precompiled tables for (march, stream)."""
     from repro.engine.cache import stream_fingerprint
 
     key = (march.core_key, stream_fingerprint(stream))
@@ -249,26 +176,7 @@ def _tables_for(march: Microarch,
         if hit is not None:
             _TABLES.move_to_end(key)
             return hit
-    body = tuple(stream.body)
-    disk_dir = _tables_disk_dir()
-    path = (disk_dir / f"{_tables_disk_key(march, body)}.json"
-            if disk_dir is not None else None)
-    tables = None
-    if path is not None:
-        try:
-            tables = _StreamTables.from_json(json.loads(path.read_text()))
-        except (OSError, ValueError, KeyError, TypeError):
-            tables = None
-    if tables is None:
-        tables = _StreamTables(march, body)
-        if path is not None:
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                tmp = path.with_suffix(f".tmp{os.getpid()}")
-                tmp.write_text(json.dumps(tables.to_json(), sort_keys=True))
-                tmp.replace(path)
-            except OSError:  # pragma: no cover - read-only cache dir
-                pass
+    tables = _StreamTables(march, tuple(stream.body))
     with _TABLES_LOCK:
         _TABLES[key] = tables
         _TABLES.move_to_end(key)
@@ -394,8 +302,7 @@ class _Lane:
 
     Carries the full in-flight simulation state, with pipes as integers
     (position in ``scheduler._PIPES``) and the ready set partitioned by
-    pipe-candidate class.  ``step`` advances up to a bounded number of
-    cycle-loop passes so the batch driver can interleave lanes.  With
+    pipe-candidate class.  :meth:`run` simulates it to completion.  With
     ``record`` set the lane logs every issue as ``(dynamic_index,
     cycle, pipe)`` in :attr:`events` and never fast-forwards.
     """
@@ -445,16 +352,16 @@ class _Lane:
         self.last_snap_iter = 0
 
     # ------------------------------------------------------------------
-    def step(self, budget: int) -> bool:
-        """Run up to *budget* cycle-loop passes; True once fully retired.
+    def run(self) -> None:
+        """Simulate until every instruction has retired.
 
-        Each pass is one simulated cycle: retire scan, window
-        admission, period detection/fast-forward, waiting→ready
-        promotion, then the greedy issue loop over pipe-candidate
-        classes (a class with no pipe free this cycle is excluded
-        wholesale; pipes only get busier within a cycle, so its members
-        could never issue anyway).  A pass that issues nothing jumps to
-        the stall horizon.
+        Each pass of the cycle loop is one simulated cycle: retire
+        scan, window admission, period detection/fast-forward,
+        waiting→ready promotion, then the greedy issue loop over
+        pipe-candidate classes (a class with no pipe free this cycle is
+        excluded wholesale; pipes only get busier within a cycle, so its
+        members could never issue anyway).  A pass that issues nothing
+        jumps to the stall horizon.
         """
         tables = self.tables
         deps = tables.deps
@@ -488,10 +395,8 @@ class _Lane:
         events = self.events
         warmup = self.warmup
         max_cycles = PipelineScheduler.MAX_CYCLES
-        passes = 0
 
-        while remaining and cycle < max_cycles and passes < budget:
-            passes += 1
+        while remaining and cycle < max_cycles:
             while (retire < total and issued[retire]
                    and completion[retire] <= cycle):
                 retire += 1
@@ -687,31 +592,9 @@ class _Lane:
             while stuck < total and issued[stuck]:
                 stuck += 1
             raise ScheduleDivergence(self.stream, window, stuck, n_body)
-        return remaining == 0
 
 
 # ----------------------------------------------------------------------
-def _run_lanes(lanes: list[_Lane]) -> None:
-    """Advance all lanes to completion in bounded super-steps.
-
-    A numpy bool mask tracks which lanes are still active; each round
-    gives every active lane ``_STEP_BUDGET`` cycle-loop passes.  Lanes
-    whose period detection fires fast-forward and drop out early, so the
-    mask shrinks fast and a slow (non-periodic) lane never serializes
-    the converged ones behind it.
-    """
-    if not lanes:
-        return
-    active = np.ones(len(lanes), dtype=bool)
-    while True:
-        idxs = np.flatnonzero(active)
-        if idxs.size == 0:
-            return
-        for i in idxs:
-            if lanes[i].step(_STEP_BUDGET):
-                active[i] = False
-
-
 def _finalize(lanes: list[_Lane]) -> list[tuple[ScheduleResult, dict]]:
     """Vectorized steady-state statistics for all retired lanes.
 
@@ -869,7 +752,8 @@ def _simulate_jobs(
               n_iters)
         for march, stream, window in jobs
     ]
-    _run_lanes(lanes)
+    for lane in lanes:
+        lane.run()
     return [
         (result, payload,
          tuple(lane.events) if lane.events is not None else None)

@@ -1,5 +1,6 @@
 """Sharded batch scheduling: the SoA batch across a process pool.
 
+This is the one parallel path in the reproduction.
 :func:`repro.engine.batch.schedule_batch` deduplicates a sweep's
 requests into unique lanes but still simulates them on one core.
 :func:`schedule_batch_sharded` runs the *same* plan with the simulation
@@ -9,12 +10,9 @@ phase split into contiguous per-worker shards on a
 * the **plan** phase (validation, content fingerprints, dedup, schedule
   -cache prefetch) runs in the caller;
 * each worker simulates its shard of unique lanes with the identical
-  ``_Lane`` array program — per-lane results are independent, and the
+  ``_Lane`` program — per-lane results are independent, and the
   vectorized finalization is element-wise, so a per-shard finalize
-  equals the whole-batch finalize float for float.  With
-  ``REPRO_CACHE_DIR`` set, workers share precompiled timing/dependency
-  tables through the disk layer of :mod:`repro.engine.batch` instead of
-  re-deriving them;
+  equals the whole-batch finalize float for float;
 * the **completion** phase (cache stores, observer dispatch, counter
   and ``schedule_cache.*`` emissions) runs back in the caller in
   request submission order.
@@ -27,18 +25,18 @@ are **bit-identical** to :func:`~repro.engine.batch.schedule_batch`
 Profitability routing: forking a pool and rebuilding per-worker tables
 costs tens of milliseconds, so tiny batches or starved pools are a net
 loss — ``schedule_batch_sharded`` therefore routes through
-:func:`plan_shards` and silently runs the serial batch path when the
-effective worker count or the unique-lane count falls below the
+:func:`plan_shards` and runs the serial batch path when the effective
+worker count or the unique-lane count falls below the
 :data:`SHARD_MIN_JOBS`/:data:`SHARD_MIN_JOBS_PER_WORKER` thresholds
 (``max_workers=None`` additionally caps workers at the CPU count — a
 1-core "pool" can only lose).  The decision every call actually took is
 reported by :func:`last_shard_plan`.
 
-Where process pools are unavailable the pool downgrade of
-:mod:`repro.engine.sweep` applies: a
-:class:`~repro.engine.sweep.PoolDowngradeWarning` is emitted, threads
-are used instead, and :func:`~repro.engine.sweep.last_effective_mode`
-reports what actually ran.  A divergent lane raises the same
+Where the pool cannot be created, or breaks mid-batch (a worker
+killed), a :class:`PoolDowngradeWarning` is emitted and the planned
+jobs simulate in-process instead; the plan is untouched at that point,
+so the results are the same and :func:`last_shard_plan` reports
+``"serial"``.  A divergent lane raises the same
 :class:`~repro.engine.scheduler.ScheduleDivergence` as an in-process
 batch (the exception pickles by field across the pool boundary).
 """
@@ -47,6 +45,7 @@ from __future__ import annotations
 
 import os
 import threading
+import warnings
 from typing import Sequence
 
 from repro.engine.batch import (
@@ -56,10 +55,9 @@ from repro.engine.batch import (
     _simulate_jobs,
 )
 from repro.engine.scheduler import ScheduleResult
-from repro.engine.sweep import _make_pool, _set_effective_mode
 
 __all__ = [
-    "SHARD_MODES",
+    "PoolDowngradeWarning",
     "SHARD_MIN_JOBS",
     "SHARD_MIN_JOBS_PER_WORKER",
     "last_shard_plan",
@@ -67,8 +65,17 @@ __all__ = [
     "schedule_batch_sharded",
 ]
 
-#: executor modes :func:`schedule_batch_sharded` accepts
-SHARD_MODES = ("serial", "thread", "process")
+
+class PoolDowngradeWarning(RuntimeWarning):
+    """The process pool was unusable; the batch simulated in-process.
+
+    Emitted by :func:`schedule_batch_sharded` when the
+    :class:`~concurrent.futures.ProcessPoolExecutor` cannot be created
+    (sandboxes without fork/spawn) or breaks mid-batch.  Results are
+    identical either way — only the parallel speedup is lost — and
+    :func:`last_shard_plan` reports ``"serial"``.
+    """
+
 
 #: below this many unique lanes the batch always runs serially — the
 #: pool spin-up alone outweighs simulating a handful of lanes
@@ -135,12 +142,18 @@ def _simulate_shard(payload: tuple) -> list:
     return _simulate_jobs(jobs, record, n_iters)
 
 
+def _process_pool(workers: int):
+    """The worker pool (imported lazily: most processes never fork)."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def schedule_batch_sharded(
     requests: Sequence[tuple],
     *,
     cache: bool = True,
     max_workers: int | None = None,
-    mode: str = "process",
 ) -> list[ScheduleResult]:
     """:func:`~repro.engine.batch.schedule_batch`, simulation sharded.
 
@@ -151,33 +164,37 @@ def schedule_batch_sharded(
     :data:`SHARD_MIN_JOBS_PER_WORKER` lanes per shard, an explicit
     ``max_workers`` forces that many workers (still bounded by the
     unique-lane count); batches below the profitability thresholds run
-    the serial batch path in-process.  ``mode="serial"`` forces that,
-    ``mode="thread"`` uses a thread pool (useful under profilers or
-    where fork is unavailable).  :func:`last_shard_plan` reports the
-    decision taken.
+    the serial batch path in-process, and so does a batch whose pool
+    cannot be created or breaks (with a :class:`PoolDowngradeWarning`).
+    :func:`last_shard_plan` reports the decision taken.
     """
-    if mode not in SHARD_MODES:
-        raise ValueError(f"mode must be one of {SHARD_MODES}, got {mode!r}")
     if not requests:
         return []
     plan = _plan_batch(requests, cache)
     jobs = _plan_jobs(plan)
     routing, workers = plan_shards(len(jobs), max_workers)
-    if mode == "serial" or routing == "serial":
-        _set_shard_plan("serial", 1, len(jobs))
-        _set_effective_mode("serial")
-        sim_out = _simulate_jobs(jobs, plan.record, plan.n_iters)
-        return _complete_batch(plan, sim_out)
+    if routing == "sharded":
+        from concurrent.futures.process import BrokenProcessPool
 
-    _set_shard_plan("sharded", workers, len(jobs))
-    size = (len(jobs) + workers - 1) // workers
-    shards = [jobs[s:s + size] for s in range(0, len(jobs), size)]
-    pool, effective = _make_pool(mode, workers)
-    _set_effective_mode(effective)
-    with pool:
-        futures = [
-            pool.submit(_simulate_shard, (shard, plan.record, plan.n_iters))
-            for shard in shards
-        ]
-        sim_out = [item for fut in futures for item in fut.result()]
+        size = (len(jobs) + workers - 1) // workers
+        shards = [jobs[s:s + size] for s in range(0, len(jobs), size)]
+        try:
+            with _process_pool(workers) as pool:
+                futures = [
+                    pool.submit(_simulate_shard,
+                                (shard, plan.record, plan.n_iters))
+                    for shard in shards
+                ]
+                sim_out = [item for fut in futures for item in fut.result()]
+        except (OSError, BrokenProcessPool) as exc:
+            warnings.warn(
+                f"process pool unusable ({exc!r}); "
+                "simulating the batch in-process",
+                PoolDowngradeWarning, stacklevel=2,
+            )
+        else:
+            _set_shard_plan("sharded", workers, len(jobs))
+            return _complete_batch(plan, sim_out)
+    _set_shard_plan("serial", 1, len(jobs))
+    sim_out = _simulate_jobs(jobs, plan.record, plan.n_iters)
     return _complete_batch(plan, sim_out)

@@ -1,29 +1,16 @@
-"""Sweep runner: batched predictions plus a counter-exact parallel map.
+"""Sweep runner: every figure/table point predicted as one batch.
 
 Every figure/table in the reproduction is a sweep — (kernel x toolchain
-x system x window) points that are embarrassingly parallel once the
-schedule cache (:mod:`repro.engine.cache`) deduplicates shared work.
-This module provides the fan-out primitives used by
-``examples/reproduce_paper.py`` and the figure drivers:
-
-* :func:`map_schedules` — ``map(fn, items)`` over a thread/process pool
-  (or serially), preserving input order, with **exact counter merging**:
-  each task runs inside its own :class:`~repro.perf.counters.ProfileScope`
-  (the scope stack is thread-local), and the captured counters are merged
-  into the caller's active scopes in submission order — so
-  ``ProfileScope`` totals under parallelism are bit-identical to a
-  serial run.
-* :func:`run_sweep` — the common case: predict a list of
-  :class:`SweepPoint` (loop, toolchain[, window]) specs and return one
-  stats row per point.  Points are named, not objects, so the work ships
-  cleanly to process pools.
+x system x window) points whose shared work the schedule cache
+(:mod:`repro.engine.cache`) deduplicates.  :func:`run_sweep` predicts a
+list of :class:`SweepPoint` (loop, toolchain[, window]) specs and
+returns one stats row per point.
 
 Every sweep, whatever its size, runs as one batch: compilations
 deduplicate through the content-addressed compile cache
 (:mod:`repro.compilers.cache`), engine-tier points run as one
-structure-of-arrays batch (:mod:`repro.engine.batch`; sharded over a
-process pool by :mod:`repro.engine.shard` under ``mode="process"``),
-and ECM-tier points evaluate as one vectorized array program
+structure-of-arrays batch (:mod:`repro.engine.batch`), and ECM-tier
+points evaluate as one vectorized array program
 (:mod:`repro.ecm.batch`).  Rows equal the per-point composition
 ``compile_loop`` → ``schedule_on`` / ``predict_compiled``
 (``tests/engine/test_sweep.py`` holds that oracle).
@@ -31,86 +18,22 @@ and ECM-tier points evaluate as one vectorized array program
 
 from __future__ import annotations
 
-import threading
-import warnings
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Callable, Iterable, Sequence, TypeVar
-
-from repro.perf.counters import ProfileScope, active_scopes
+from typing import Iterable, Sequence
 
 __all__ = [
-    "PoolDowngradeWarning",
     "SweepPoint",
     "TIERS",
-    "last_effective_mode",
-    "map_schedules",
     "run_sweep",
 ]
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-MODES = ("serial", "thread", "process")
-
 
 #: prediction tiers a sweep point can run under
 TIERS = ("engine", "ecm")
 
 
-class PoolDowngradeWarning(RuntimeWarning):
-    """A requested process pool was unavailable; threads ran instead.
-
-    Emitted by :func:`map_schedules` and
-    :func:`repro.engine.shard.schedule_batch_sharded` when
-    ``mode="process"`` cannot create a
-    :class:`~concurrent.futures.ProcessPoolExecutor` (sandboxes without
-    fork/spawn).  Results are identical either way — only the expected
-    parallel speedup is lost — but the downgrade is no longer silent:
-    callers and tests can catch the warning or inspect
-    :func:`last_effective_mode`.
-    """
-
-
-_EFFECTIVE_MODE = threading.local()
-
-
-def _set_effective_mode(mode: str) -> None:
-    _EFFECTIVE_MODE.value = mode
-
-
-def last_effective_mode() -> str | None:
-    """Executor mode the calling thread's last sweep actually used.
-
-    ``"serial"``, ``"thread"`` or ``"process"`` — the mode that *ran*,
-    after any short-circuit (single item, one worker) or process-pool
-    downgrade; ``None`` before any sweep ran on this thread.
-    """
-    return getattr(_EFFECTIVE_MODE, "value", None)
-
-
-def _make_pool(mode: str, max_workers: int | None) -> tuple[Executor, str]:
-    """Create the executor for *mode*; returns (pool, effective mode).
-
-    The process→thread downgrade (no fork/spawn in sandboxes) warns via
-    :class:`PoolDowngradeWarning` instead of swapping silently.
-    """
-    if mode == "process":
-        try:
-            return ProcessPoolExecutor(max_workers=max_workers), "process"
-        except (OSError, PermissionError) as exc:
-            warnings.warn(
-                f"process pool unavailable ({exc}); "
-                "falling back to a thread pool",
-                PoolDowngradeWarning, stacklevel=3,
-            )
-    return ThreadPoolExecutor(max_workers=max_workers), "thread"
-
-
 @dataclass(frozen=True)
 class SweepPoint:
-    """One schedule request, by name (picklable for process pools).
+    """One schedule request, by name.
 
     ``tier`` selects the prediction tier: ``"engine"`` simulates the
     steady-state schedule on the cycle-level engine;
@@ -129,49 +52,6 @@ class SweepPoint:
     window: int | None = None
     tier: str = "engine"
     machine: str | None = None
-
-
-def _captured_call(fn: Callable[[T], R], item: T) -> tuple[R, dict[str, float]]:
-    """Run one task under a private scope; return (value, its counters)."""
-    with ProfileScope("sweep-task") as counters:
-        value = fn(item)
-    return value, counters.as_dict()
-
-
-def map_schedules(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    *,
-    mode: str = "thread",
-    max_workers: int | None = None,
-) -> list[R]:
-    """Apply *fn* to every item, possibly in parallel; results in order.
-
-    Counters emitted inside tasks are merged into the caller's active
-    profiling scopes in submission order, keeping totals exactly equal
-    to a serial run.  ``mode="process"`` requires *fn* and the items to
-    be picklable (use module-level functions and name-based specs).
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    items = list(items)
-    if mode == "serial" or len(items) <= 1:
-        # live emission into the caller's scopes; nothing to merge
-        _set_effective_mode("serial")
-        return [fn(item) for item in items]
-
-    pool, effective = _make_pool(mode, max_workers)
-    _set_effective_mode(effective)
-    with pool:
-        outcomes = list(pool.map(_captured_call, repeat(fn), items))
-
-    results: list[R] = []
-    scopes = active_scopes()
-    for value, counters in outcomes:
-        for scope in scopes:
-            scope.merge(counters)
-        results.append(value)
-    return results
 
 
 # ----------------------------------------------------------------------
@@ -222,8 +102,6 @@ def _resolve_targets(tc_name: str, machine: str | None):
 def run_sweep(
     points: Iterable["SweepPoint | Sequence"],
     *,
-    mode: str = "thread",
-    max_workers: int | None = None,
     tier: str | None = None,
 ) -> list[dict]:
     """Predict every (loop, toolchain[, window]) point; one row each.
@@ -241,21 +119,17 @@ def run_sweep(
     ``CompiledLoop.cycles_per_element``; engine points add their
     explicitly windowed request — one request per lookup a per-point
     composition would make, so cache statistics and ``ProfileScope``
-    totals equal it.  The deduplicated batch simulates sharded over a
-    process pool under ``mode="process"``
-    (:func:`repro.engine.shard.schedule_batch_sharded`), in-process
-    otherwise; ECM-tier rows then compose in one vectorized pass
+    totals equal it.  The deduplicated batch simulates in-process
+    (:func:`repro.engine.batch.schedule_batch`); ECM-tier rows then
+    compose in one vectorized pass
     (:func:`repro.ecm.batch.predict_batch`).
     """
     from repro.compilers.cache import cached_compile
     from repro.compilers.toolchains import get_toolchain
     from repro.ecm.batch import predict_batch
     from repro.engine.batch import schedule_batch
-    from repro.engine.shard import schedule_batch_sharded
     from repro.kernels.catalog import build_kernel
 
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     specs = [_normalize(p, tier) for p in points]
     rows: list[dict | None] = [None] * len(specs)
     requests: list[tuple] = []
@@ -288,11 +162,7 @@ def run_sweep(
             requests.append((march, compiled.stream, window))
         pending.append((i, compiled, march, window, point_tier, req_idx))
 
-    if mode == "process":
-        results = schedule_batch_sharded(requests, max_workers=max_workers)
-    else:
-        _set_effective_mode("serial")
-        results = schedule_batch(requests)
+    results = schedule_batch(requests)
 
     ecm_items: list[tuple] = []
     ecm_rows: list[tuple[int, dict]] = []

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro._util import require_positive
-from repro.engine.batch import _Lane, _run_lanes, _tables_for
+from repro.engine.batch import _Lane, _tables_for
 from repro.engine.scheduler import PipelineScheduler
 from repro.machine.isa import InstructionStream, Pipe
 from repro.machine.microarch import Microarch
@@ -49,7 +49,7 @@ def capture_trace(
     n_body = len(body)
     lane = _Lane(march, stream, window, _tables_for(march, stream),
                  True, iterations)
-    _run_lanes([lane])
+    lane.run()
     events: list[IssueEvent] = []
     for d, cycle, pipe in lane.events:
         ins = body[d % n_body]

@@ -154,16 +154,34 @@ def machine_grid_predictions(
     could compile.
     """
     marches = [spec.build_core() for spec in specs]
+    items, preds, skipped, _compiled = _grid_predictions(
+        specs, marches, kernels)
+    return items, preds, skipped
+
+
+def _grid_predictions(
+    specs: Sequence[MachineSpec],
+    marches: Sequence[Microarch],
+    kernels: Sequence[str],
+):
+    """:func:`machine_grid_predictions` over already-built cores.
+
+    Also returns each kernel's per-machine compiled list, so the engine
+    tier of :func:`run_machine_grid` reuses both instead of building
+    and compiling them a second time.
+    """
     systems = [spec.build_system() for spec in specs]
     items = []
     skipped = 0
+    compiled_of: dict[str, list[CompiledLoop | None]] = {}
     for kernel in kernels:
         compiled, skips = compile_for_machines(kernel, marches)
+        compiled_of[kernel] = compiled
         skipped += len(skips)
         for c, system in zip(compiled, systems):
             if c is not None:
                 items.append((c, system, None))
-    return items, predict_batch(items), skipped
+    return items, predict_batch(items), skipped, compiled_of
 
 
 def run_machine_grid(
@@ -172,7 +190,6 @@ def run_machine_grid(
     machines: int = 1000,
     kernels: Sequence[str] = DEFAULT_KERNELS,
     engine_kernels: Sequence[str] = DEFAULT_ENGINE_KERNELS,
-    max_workers: int | None = None,
     include_rows: bool = False,
 ) -> dict:
     """Sweep a machine grid and report per-kernel winners.
@@ -189,7 +206,9 @@ def run_machine_grid(
         specs = grid_specs(machines, GRID_BASES)
     specs = list(specs)
     t0 = time.perf_counter()
-    items, preds, skipped = machine_grid_predictions(specs, kernels)
+    marches = [spec.build_core() for spec in specs]
+    items, preds, skipped, compiled_of = _grid_predictions(
+        specs, marches, kernels)
     ecm_seconds = time.perf_counter() - t0
 
     # per-kernel crossover: which machine (with which toolchain) wins
@@ -214,14 +233,15 @@ def run_machine_grid(
     # engine tier: one sharded batch over machines x engine_kernels
     t0 = time.perf_counter()
     engine_points = 0
-    marches = [spec.build_core() for spec in specs]
     requests = []
     for kernel in engine_kernels:
-        compiled, _skips = compile_for_machines(kernel, marches)
+        compiled = compiled_of.get(kernel)
+        if compiled is None:
+            compiled, _skips = compile_for_machines(kernel, marches)
         requests.extend((c.march, c.stream) for c in compiled
                         if c is not None)
     if requests:
-        schedule_batch_sharded(requests, max_workers=max_workers)
+        schedule_batch_sharded(requests)
         engine_points = len(requests)
     engine_seconds = time.perf_counter() - t0
 

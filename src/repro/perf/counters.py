@@ -140,12 +140,10 @@ class CounterSet(Mapping[str, float]):
 class _ScopeStack(threading.local):
     """Per-thread stack of scopes currently receiving emissions.
 
-    Thread-local on purpose: the parallel sweep runner
-    (:mod:`repro.engine.sweep`) opens one scope per task in its worker
-    threads and merges the captured counters back into the caller's
-    scopes in deterministic submission order — so totals under
-    parallelism are *exactly* the serial totals, instead of racing
-    increments into a shared stack.
+    Thread-local on purpose: a prediction server runs its batches on
+    the micro-batcher's drain thread and its TCP frontend handles each
+    connection on its own thread, so a scope opened on one thread must
+    not receive emissions made concurrently on another.
     """
 
     def __init__(self) -> None:

@@ -12,9 +12,7 @@ batch:
   :attr:`~repro.serve.protocol.PredictRequest.key`) **deduplicate** —
   one execution answers all of them;
 * engine-tier requests run as one SoA batch
-  (:func:`repro.engine.batch.schedule_batch`; sharded across a process
-  pool via :func:`repro.engine.shard.schedule_batch_sharded` when the
-  server was started with ``workers > 1``);
+  (:func:`repro.engine.batch.schedule_batch`), in the server's process;
 * ECM-tier requests evaluate as one vectorized array program per
   batch, each item carrying its own thread count
   (:func:`repro.ecm.batch.predict_batch`);
@@ -48,12 +46,6 @@ Frontends: :func:`serve_stdio` speaks the line protocol over
 stdin/stdout; :class:`TcpFrontend` serves a local socket with one
 handler thread per connection, all feeding the same admission queue —
 which is what makes cross-*client* batching happen.
-
-Worker pools: with ``workers > 1`` the server probes a process pool at
-startup.  Where fork is unavailable the probe emits the same
-:class:`~repro.engine.sweep.PoolDowngradeWarning` as the sweep runner,
-downgrades batch sharding to threads, and records the effective mode in
-the session stats (and :func:`~repro.engine.sweep.last_effective_mode`).
 """
 
 from __future__ import annotations
@@ -61,7 +53,6 @@ from __future__ import annotations
 import json
 import sys
 import threading
-import warnings
 from collections import OrderedDict
 from concurrent.futures import Future
 from queue import SimpleQueue
@@ -102,8 +93,6 @@ def _fresh_stats() -> dict:
         "deduped": 0,           # requests answered by an identical twin
         "cache_hits": 0,        # answers resident before their batch ran
         "cache_misses": 0,
-        "pool_mode": None,      # serial | thread | process (last server)
-        "workers": 0,
     }
 
 
@@ -158,11 +147,6 @@ def _kernel_entry(kernel: str, toolchain: str) -> tuple:
     return entry
 
 
-def _probe_task() -> int:
-    """No-op shipped to the worker-pool probe (top-level: picklable)."""
-    return 42
-
-
 class _Unique:
     """One deduplicated unit of work inside a micro-batch."""
 
@@ -185,10 +169,9 @@ class PredictionServer:
     """Micro-batching prediction daemon over the process-wide caches.
 
     ``batch_window`` (seconds) and ``max_batch`` tune the admission
-    queue; ``workers > 1`` shards engine-tier batch simulation across a
-    process pool (probed at :meth:`start`); ``naive=True`` degenerates
-    to one-request-at-a-time execution with no cross-request reuse —
-    the reference path batched answers are checked against.
+    queue; ``naive=True`` degenerates to one-request-at-a-time
+    execution with no cross-request reuse — the reference path batched
+    answers are checked against.
 
     Use as a context manager, or :meth:`start`/:meth:`stop` explicitly.
     In-process clients call :meth:`request` (synchronous) or
@@ -197,13 +180,10 @@ class PredictionServer:
     """
 
     def __init__(self, *, batch_window: float = 0.002,
-                 max_batch: int = 64, workers: int | None = None,
-                 naive: bool = False) -> None:
+                 max_batch: int = 64, naive: bool = False) -> None:
         if naive:
             batch_window, max_batch = 0.0, 1
         self.naive = naive
-        self.workers = workers or 1
-        self._pool_mode = "serial"
         self._batcher = MicroBatcher(
             self._execute_batch,
             batch_window=batch_window, max_batch=max_batch,
@@ -211,14 +191,7 @@ class PredictionServer:
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Probe the worker pool (if any) and start the batch drain."""
-        if self.workers > 1 and not self.naive:
-            self._pool_mode = self._probe_pool()
-        else:
-            self._pool_mode = "serial"
-        with _STATS_LOCK:
-            _STATS["pool_mode"] = self._pool_mode
-            _STATS["workers"] = self.workers
+        """Start the batch drain."""
         self._batcher.start()
 
     def stop(self) -> None:
@@ -231,37 +204,6 @@ class PredictionServer:
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-    def _probe_pool(self) -> str:
-        """Confirm a process pool actually works before relying on it.
-
-        Emits :class:`~repro.engine.sweep.PoolDowngradeWarning` (the
-        same signal the sweep runner uses) and falls back to thread
-        sharding when the pool cannot be created *or* its workers die
-        at first use; the effective mode lands in
-        :func:`~repro.engine.sweep.last_effective_mode` and the session
-        stats either way.
-        """
-        from repro.engine.sweep import (
-            PoolDowngradeWarning,
-            _make_pool,
-            _set_effective_mode,
-        )
-
-        pool, effective = _make_pool("process", 1)
-        with pool:
-            if effective == "process":
-                try:
-                    pool.submit(_probe_task).result(timeout=60)
-                except Exception as exc:
-                    warnings.warn(
-                        f"process pool workers unusable ({exc}); "
-                        "serve batches will shard over threads",
-                        PoolDowngradeWarning, stacklevel=3,
-                    )
-                    effective = "thread"
-        _set_effective_mode(effective)
-        return effective
 
     # ------------------------------------------------------------------
     def submit_line(self, line: str) -> tuple[Future, str]:
@@ -319,7 +261,6 @@ class PredictionServer:
             march_fingerprint,
             stream_fingerprint,
         )
-        from repro.engine.shard import schedule_batch_sharded
         from repro.machine.systems import get_system
         from repro.perf.profile import default_system_for
 
@@ -375,13 +316,7 @@ class PredictionServer:
             if u.req.tier == "engine":
                 requests.append((u.march, u.compiled.stream, u.req.window))
         if requests:
-            if self._pool_mode in ("process", "thread"):
-                results = schedule_batch_sharded(
-                    requests, max_workers=self.workers,
-                    mode=self._pool_mode,
-                )
-            else:
-                results = schedule_batch(requests)
+            results = schedule_batch(requests)
 
         # Phase 3: compose rows; every ECM unique rides one vectorized
         # batch, each item carrying its own thread count.

@@ -241,46 +241,49 @@ def check_profile(profile) -> list[Violation]:
 
 
 def check_sweep_merge(points: int = 6) -> list[Violation]:
-    """Parallel sweep totals must equal the serial totals exactly.
+    """Sharded batch totals must equal the in-process batch exactly.
 
-    Runs the same schedule sweep twice under a profiling scope — once
-    serially, once on the thread pool (where each task records into its
-    own scope and :mod:`repro.engine.sweep` merges in submission order)
-    — and demands identical counter sets.  This is the model's version
-    of "OpenMP per-thread sums equal merged totals".
+    Runs the same schedule batch twice under a profiling scope — once
+    with :func:`repro.engine.batch.schedule_batch`, once sharded over a
+    two-worker process pool
+    (:func:`repro.engine.shard.schedule_batch_sharded`, whose workers
+    return counter payloads that the caller emits in submission order)
+    — and demands identical results and counter sets.  This is the
+    model's version of "OpenMP per-thread sums equal merged totals".
     """
     from repro.compilers.codegen import compile_loop
     from repro.compilers.toolchains import TOOLCHAINS
-    from repro.engine.scheduler import schedule_on
-    from repro.engine.sweep import map_schedules
+    from repro.engine.batch import schedule_batch
+    from repro.engine.shard import schedule_batch_sharded
     from repro.kernels.loops import LOOP_NAMES, build_loop
     from repro.machine.microarch import A64FX
     from repro.perf.counters import ProfileScope
 
     names = (LOOP_NAMES * 2)[:points]
-    streams = [
-        compile_loop(build_loop(n), TOOLCHAINS["fujitsu"], A64FX).stream
+    requests = [
+        (A64FX, compile_loop(build_loop(n), TOOLCHAINS["fujitsu"],
+                             A64FX).stream)
         for n in names
     ]
-    totals = []
-    for mode in ("serial", "thread"):
-        with ProfileScope(f"sweep:{mode}") as counters:
-            map_schedules(
-                lambda s: schedule_on(A64FX, s), streams, mode=mode
-            )
-        # the schedule cache's own hit/miss split legitimately differs
-        # between the two runs (the first warms it for the second); the
-        # simulated pipeline.* payloads are what must merge identically
-        totals.append({k: v for k, v in counters.as_dict().items()
-                       if not k.startswith("schedule_cache.")})
-    serial, threaded = totals
+    # uncached, so both runs simulate every lane and emit its payload
+    with ProfileScope("sweep:batch") as counters:
+        batch = schedule_batch(requests, cache=False)
+    serial = counters.as_dict()
+    with ProfileScope("sweep:sharded") as counters:
+        sharded = schedule_batch_sharded(requests, cache=False, max_workers=2)
+    merged = counters.as_dict()
     out: list[Violation] = []
-    for key in sorted(set(serial) | set(threaded)):
-        a, b = serial.get(key, 0.0), threaded.get(key, 0.0)
+    if sharded != batch:
+        out.append(Violation(
+            "counters.sweep.merge", "sweep:results",
+            "sharded batch results differ from the in-process batch",
+        ))
+    for key in sorted(set(serial) | set(merged)):
+        a, b = serial.get(key, 0.0), merged.get(key, 0.0)
         if a != b:
             out.append(Violation(
                 "counters.sweep.merge", f"sweep:{key}",
-                f"threaded total {b} != serial total {a}",
+                f"sharded total {b} != in-process total {a}",
             ))
     return out
 

@@ -265,7 +265,7 @@ class TestBatchSweepRouting:
         expected = oracle_rows(POINTS)
         configure()
         clear_memos()
-        assert run_sweep(POINTS, mode="serial") == expected
+        assert run_sweep(POINTS) == expected
 
     def test_sweep_counters_and_stats_match(self):
         with ProfileScope("oracle") as oracle:
@@ -274,7 +274,7 @@ class TestBatchSweepRouting:
         configure()
         clear_memos()
         with ProfileScope("batched") as batched:
-            run_sweep(POINTS, mode="serial")
+            run_sweep(POINTS)
         assert batched.as_dict() == oracle.as_dict()
         assert get_cache().stats() == oracle_stats
 
@@ -287,7 +287,7 @@ class TestBatchSweepRouting:
         expected = oracle_rows(points)
         configure()
         clear_memos()
-        rows = run_sweep(points, mode="serial")
+        rows = run_sweep(points)
         assert rows == expected
         assert [r["tier"] for r in rows] == ["ecm", "engine",
                                              "ecm", "engine"]

@@ -1,7 +1,8 @@
 """Golden equivalence: every entry point must reproduce the seed scheduler.
 
 The engine's event-driven lanes, the steady-state extrapolation, the
-schedule cache, and the sweep runner are pure optimizations — the
+schedule cache, the sweep runner and the sharded batch are pure
+optimizations — the
 contract (enforced here at 1e-9 relative; busy-cycle sums may differ in
 the last bit under period detection) is that ``ScheduleResult`` and the
 emitted ``pipeline.*`` counters are unchanged from the preserved seed
@@ -14,9 +15,10 @@ import pytest
 from repro.compilers.codegen import compile_loop
 from repro.compilers.toolchains import TOOLCHAINS
 from repro.engine._reference import ReferenceScheduler
+from repro.engine.batch import schedule_batch
 from repro.engine.cache import cached_schedule, configure, get_cache
 from repro.engine.scheduler import PipelineScheduler
-from repro.engine.sweep import run_sweep
+from repro.engine.shard import last_shard_plan, schedule_batch_sharded
 from repro.kernels.loops import LOOP_NAMES, MATH_LOOP_NAMES, build_loop
 from repro.machine.microarch import A64FX, SKYLAKE_6140
 from repro.perf.counters import ProfileScope
@@ -109,27 +111,29 @@ class TestGoldenEquivalence:
         assert hit_pipeline == pytest.approx(expected, rel=RTOL)
 
 
+def _requests(points):
+    return [(_march_for(tc), _stream_for(loop, tc)) for loop, tc in points]
+
+
 class TestParallelEquivalence:
+    """The one parallel path, the process-sharded batch."""
+
     def test_parallel_sweep_matches_serial(self):
-        serial = run_sweep(POINTS, mode="serial")
+        reqs = _requests(POINTS)
+        serial = schedule_batch(reqs)
         get_cache().clear()
-        parallel = run_sweep(POINTS, mode="thread", max_workers=4)
-        assert len(serial) == len(parallel) == len(POINTS)
-        for s, p in zip(serial, parallel):
-            assert s["loop"] == p["loop"]
-            assert s["toolchain"] == p["toolchain"]
-            assert p["cycles_per_iter"] == pytest.approx(
-                s["cycles_per_iter"], rel=RTOL)
-            assert p["bound"] == s["bound"]
+        parallel = schedule_batch_sharded(reqs, max_workers=4)
+        assert last_shard_plan()["routing"] == "sharded"
+        assert parallel == serial
 
     def test_parallel_rows_match_reference(self):
-        rows = run_sweep(POINTS, mode="thread", max_workers=4)
-        for (loop, tc), row in zip(POINTS, rows):
-            march = _march_for(tc)
-            ref = ReferenceScheduler(march).steady_state(
-                _stream_for(loop, tc))
-            assert row["cycles_per_iter"] == pytest.approx(
+        reqs = _requests(POINTS)
+        results = schedule_batch_sharded(reqs, cache=False, max_workers=4)
+        for (march, stream), result in zip(reqs, results):
+            ref = ReferenceScheduler(march).steady_state(stream)
+            assert result.cycles_per_iter == pytest.approx(
                 ref.cycles_per_iter, rel=RTOL)
+            assert result.bound == ref.bound
 
 
 class TestCounterIdentityOnFastPaths:
@@ -154,21 +158,14 @@ class TestCounterIdentityOnFastPaths:
         self._assert_identity(hit)
 
     def test_parallel_sweep_totals(self):
-        """Totals merged from parallel workers equal the serial totals
-        exactly (same additions, same order)."""
-        points = [(loop, tc) for loop in ("simple", "sqrt")
-                  for tc in TOOLCHAINS]
+        """Totals emitted from sharded workers' payloads equal the
+        serial totals exactly (same additions, same order)."""
+        reqs = _requests([(loop, tc) for loop in ("simple", "sqrt")
+                          for tc in TOOLCHAINS])
         with ProfileScope("serial") as serial:
-            run_sweep(points, mode="serial")
+            schedule_batch(reqs)
         get_cache().clear()
         with ProfileScope("parallel") as par:
-            run_sweep(points, mode="thread", max_workers=3)
+            schedule_batch_sharded(reqs, max_workers=3)
         self._assert_identity(par)
-
-        def pipeline_only(counters):
-            return {k: v for k, v in counters.as_dict().items()
-                    if k.startswith("pipeline.")}
-
-        # schedule_cache.hit/miss splits may differ under racing workers;
-        # the pipeline.* totals must be bit-identical to the serial run
-        assert pipeline_only(par) == pipeline_only(serial)
+        assert par.as_dict() == serial.as_dict()

@@ -1,6 +1,9 @@
 """Tests for the sharded batch scheduler (process-pool fan-out)."""
 
 import pickle
+import warnings
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -14,8 +17,12 @@ from repro.engine.scheduler import (
     ScheduleDivergence,
     clear_memos,
 )
-from repro.engine.shard import schedule_batch_sharded
-from repro.engine.sweep import PoolDowngradeWarning, last_effective_mode
+import repro.engine.shard as shard_mod
+from repro.engine.shard import (
+    PoolDowngradeWarning,
+    last_shard_plan,
+    schedule_batch_sharded,
+)
 from repro.kernels.loops import LOOP_NAMES, MATH_LOOP_NAMES, build_loop
 from repro.machine.microarch import A64FX, SKYLAKE_6140
 from repro.perf.counters import ProfileScope
@@ -46,14 +53,18 @@ def _requests():
 
 
 class TestShardedEqualsSerial:
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
-    def test_results_bit_identical(self, mode):
+    @pytest.mark.parametrize("workers,routing", [
+        pytest.param(1, "serial", id="serial"),
+        pytest.param(3, "sharded", id="process"),
+    ])
+    def test_results_bit_identical(self, workers, routing):
         reqs = _requests()
         serial = schedule_batch(reqs, cache=False)
         clear_memos()
         clear_tables()
         sharded = schedule_batch_sharded(
-            reqs, cache=False, mode=mode, max_workers=3)
+            reqs, cache=False, max_workers=workers)
+        assert last_shard_plan()["routing"] == routing
         assert sharded == serial
 
     def test_matches_scalar_scheduler(self):
@@ -106,9 +117,9 @@ class TestShardedEqualsSerial:
     def test_effective_mode_reported(self):
         reqs = _requests()
         schedule_batch_sharded(reqs, cache=False, max_workers=3)
-        assert last_effective_mode() == "process"
-        schedule_batch_sharded(reqs, cache=False, mode="serial")
-        assert last_effective_mode() == "serial"
+        assert last_shard_plan()["routing"] == "sharded"
+        schedule_batch_sharded(reqs, cache=False, max_workers=1)
+        assert last_shard_plan()["routing"] == "serial"
 
 
 class TestShardedShortCircuits:
@@ -120,38 +131,63 @@ class TestShardedShortCircuits:
         compiled = compile_loop(build_loop("simple"), tc, A64FX)
         results = schedule_batch_sharded(
             [(A64FX, compiled.stream)] * 3, cache=False)
-        assert last_effective_mode() == "serial"  # one unique lane
+        assert last_shard_plan()["routing"] == "serial"  # one unique lane
         assert results[0] == results[1] == results[2]
 
     def test_one_worker_runs_serially(self):
         reqs = _requests()
         sharded = schedule_batch_sharded(reqs, cache=False, max_workers=1)
-        assert last_effective_mode() == "serial"
+        assert last_shard_plan()["routing"] == "serial"
         clear_memos()
         clear_tables()
         assert sharded == schedule_batch(reqs, cache=False)
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            schedule_batch_sharded(_requests(), mode="fleet")
+
+class _BrokenPool:
+    """A pool whose every future fails as if its worker had died."""
+
+    def __init__(self, workers):
+        self.workers = workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_exception(BrokenProcessPool("worker killed"))
+        return fut
 
 
 class TestPoolDowngrade:
-    def test_warns_and_falls_back_to_threads(self, monkeypatch):
-        def _no_fork(*args, **kwargs):
-            raise OSError("no fork in sandbox")
+    """An unusable pool simulates the planned jobs in-process."""
 
-        monkeypatch.setattr(
-            "repro.engine.sweep.ProcessPoolExecutor", _no_fork)
+    def _assert_falls_back(self):
         reqs = _requests()
-        serial = schedule_batch(reqs, cache=False)
+        with ProfileScope("serial") as serial_counters:
+            serial = schedule_batch(reqs, cache=False)
         clear_memos()
         clear_tables()
         with pytest.warns(PoolDowngradeWarning):
-            sharded = schedule_batch_sharded(
-                reqs, cache=False, max_workers=3)
-        assert last_effective_mode() == "thread"
+            with ProfileScope("fallback") as counters:
+                sharded = schedule_batch_sharded(
+                    reqs, cache=False, max_workers=3)
         assert sharded == serial
+        assert counters.as_dict() == serial_counters.as_dict()
+        assert last_shard_plan()["routing"] == "serial"
+
+    def test_creation_failure_falls_back_in_process(self, monkeypatch):
+        def _no_fork(workers):
+            raise OSError("no fork in sandbox")
+
+        monkeypatch.setattr(shard_mod, "_process_pool", _no_fork)
+        self._assert_falls_back()
+
+    def test_broken_pool_falls_back_in_process(self, monkeypatch):
+        monkeypatch.setattr(shard_mod, "_process_pool", _BrokenPool)
+        self._assert_falls_back()
 
 
 class TestDivergenceAcrossShards:
@@ -160,6 +196,25 @@ class TestDivergenceAcrossShards:
         reqs = _requests()
         with pytest.raises(ScheduleDivergence):
             schedule_batch_sharded(reqs, cache=False, max_workers=3)
+
+    def test_worker_divergence_is_not_a_pool_failure(self, monkeypatch):
+        """A divergence raised by a worker propagates; no fallback."""
+        tc = get_toolchain("fujitsu")
+        stream = compile_loop(build_loop("simple"), tc, A64FX).stream
+
+        class _DivergingPool(_BrokenPool):
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_exception(ScheduleDivergence(
+                    stream, 24, 0, len(stream.body)))
+                return fut
+
+        monkeypatch.setattr(shard_mod, "_process_pool", _DivergingPool)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PoolDowngradeWarning)
+            with pytest.raises(ScheduleDivergence):
+                schedule_batch_sharded(_requests(), cache=False,
+                                       max_workers=3)
 
     def test_divergence_pickles_by_field(self):
         tc = get_toolchain("fujitsu")
@@ -222,7 +277,6 @@ class TestShardRouting:
         assert plan["routing"] == "serial"
         assert plan["workers"] == 1
         assert plan["jobs"] == 2
-        assert last_effective_mode() == "serial"
 
     def test_sharded_route_reported(self):
         from repro.engine.shard import last_shard_plan

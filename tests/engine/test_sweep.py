@@ -8,14 +8,8 @@ import pytest
 
 from repro.compilers.cache import configure_compile_cache, get_compile_cache
 from repro.engine.cache import configure, get_cache
-from repro.engine.sweep import (
-    PoolDowngradeWarning,
-    SweepPoint,
-    last_effective_mode,
-    map_schedules,
-    run_sweep,
-)
-from repro.perf.counters import ProfileScope, emit
+from repro.engine.sweep import SweepPoint, run_sweep
+from repro.perf.counters import ProfileScope
 from tests.engine.sweep_oracle import oracle_rows
 
 
@@ -26,48 +20,6 @@ def fresh_cache():
     yield
     configure()
     configure_compile_cache()
-
-
-def _emit_task(item):
-    emit("sweep_test.calls", 1.0)
-    emit("sweep_test.value", float(item))
-    return item * 2
-
-
-class TestMapSchedules:
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
-    def test_results_in_order(self, mode):
-        items = list(range(8))
-        assert map_schedules(_emit_task, items, mode=mode) == [
-            2 * i for i in items
-        ]
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            map_schedules(_emit_task, [1], mode="fleet")
-
-    @pytest.mark.parametrize("mode", ["serial", "thread"])
-    def test_counter_totals_exact(self, mode):
-        items = list(range(10))
-        with ProfileScope("sweep") as counters:
-            map_schedules(_emit_task, items, mode=mode, max_workers=3)
-        assert counters["sweep_test.calls"] == float(len(items))
-        assert counters["sweep_test.value"] == float(sum(items))
-
-    def test_nested_scopes_both_receive_merged_counters(self):
-        with ProfileScope("outer") as outer:
-            with ProfileScope("inner") as inner:
-                map_schedules(_emit_task, [1, 2, 3], mode="thread")
-        assert inner["sweep_test.calls"] == 3.0
-        assert outer["sweep_test.calls"] == 3.0
-
-    def test_worker_emissions_do_not_leak_live(self):
-        """Thread workers emit into task scopes, not the caller's —
-        everything arrives exactly once, via the deterministic merge."""
-        with ProfileScope("caller") as counters:
-            map_schedules(_emit_task, list(range(20)), mode="thread",
-                          max_workers=8)
-        assert counters["sweep_test.calls"] == 20.0
 
 
 class TestRunSweep:
@@ -93,13 +45,6 @@ class TestRunSweep:
     def test_intel_points_target_skylake(self):
         (row,) = run_sweep([("simple", "intel")])
         assert "6140" in row["march"] or "skylake" in row["march"].lower()
-
-    def test_thread_mode_matches_serial(self):
-        points = [(loop, tc) for loop in ("simple", "gather", "exp")
-                  for tc in ("fujitsu", "gnu", "intel")]
-        serial = run_sweep(points, mode="serial")
-        threaded = run_sweep(points, mode="thread", max_workers=4)
-        assert serial == threaded
 
 
 class TestMachineAxis:
@@ -158,56 +103,6 @@ class TestMachineAxis:
         assert row["march"] == "ThunderX2"
 
 
-def _mixed_grid():
-    """A small engine+ecm grid over two windows."""
-    return [
-        SweepPoint(loop, tc, window=win, tier=tier)
-        for loop in ("simple", "gather", "exp")
-        for tc in ("fujitsu", "intel")
-        for win in (None, 24)
-        for tier in ("engine", "ecm")
-    ]
-
-
-class TestProcessSweep:
-    def test_rows_match_serial_per_point(self):
-        points = _mixed_grid()
-        serial = oracle_rows(points)
-        configure()
-        configure_compile_cache()
-        sharded = run_sweep(points, mode="process", max_workers=3)
-        assert sharded == serial
-
-    def test_counters_and_stats_merge_exactly(self):
-        """Sharded process sweep == the per-point oracle, counter for
-        counter and schedule-cache stat for stat."""
-        points = _mixed_grid()
-        with ProfileScope("serial") as serial_counters:
-            oracle_rows(points)
-        serial_stats = get_cache().stats()
-        configure()
-        configure_compile_cache()
-        with ProfileScope("sharded") as shard_counters:
-            run_sweep(points, mode="process", max_workers=3)
-        assert shard_counters.as_dict() == serial_counters.as_dict()
-        assert get_cache().stats() == serial_stats
-
-    def test_downgrade_warns_and_still_matches(self, monkeypatch):
-        def _no_fork(*args, **kwargs):
-            raise OSError("no fork in sandbox")
-
-        points = _mixed_grid()
-        serial = oracle_rows(points)
-        configure()
-        configure_compile_cache()
-        monkeypatch.setattr(
-            "repro.engine.sweep.ProcessPoolExecutor", _no_fork)
-        with pytest.warns(PoolDowngradeWarning):
-            rows = run_sweep(points, mode="process", max_workers=3)
-        assert last_effective_mode() == "thread"
-        assert rows == serial
-
-
 class TestBatchedEqualsOracle:
     """Every sweep, of any size, is one batch equal to the oracle."""
 
@@ -246,7 +141,7 @@ class TestBatchedEqualsOracle:
         configure()
         configure_compile_cache()
         with ProfileScope("batched") as batch_counters:
-            rows = run_sweep(points, mode="serial")
+            rows = run_sweep(points)
         assert rows == expected
         assert batch_counters.as_dict() == oracle_counters.as_dict()
         assert get_cache().stats() == oracle_stats

@@ -227,7 +227,7 @@ class TestContentIdentity:
                   for kernel in ("simple", "sqrt", "spmv_crs")
                   for window in (None, 8)
                   for tier in ("engine", "ecm")]
-        rows = run_sweep(points, mode="serial")
+        rows = run_sweep(points)
         assert len(rows) == len(points)
         assert digests() == before
 

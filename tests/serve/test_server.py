@@ -1,4 +1,4 @@
-"""Tests for the prediction server, its frontends and the worker pool."""
+"""Tests for the prediction server and its frontends."""
 
 import io
 import json
@@ -102,43 +102,6 @@ class TestInProcess:
         assert stats["batches"] >= 1
         assert stats["cache_hits"] == 1    # the replay
         assert stats["cache_misses"] == 1
-
-
-class TestWorkerPool:
-    def test_pool_probe_records_mode(self):
-        server = PredictionServer(workers=2)
-        with server:
-            resp = server.request(_predict())
-        assert resp["ok"] is True
-        stats = session_stats()
-        assert stats["workers"] == 2
-        assert stats["pool_mode"] in ("process", "thread")
-
-    def test_downgrade_warns_and_serves_on_threads(self, monkeypatch):
-        import repro.engine.sweep as sweep
-        from repro.engine.sweep import (
-            PoolDowngradeWarning,
-            last_effective_mode,
-        )
-
-        def broken_pool(*args, **kwargs):
-            raise PermissionError("no fork in this sandbox")
-
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", broken_pool)
-        server = PredictionServer(workers=2)
-        with pytest.warns(PoolDowngradeWarning):
-            server.start()
-        try:
-            assert last_effective_mode() == "thread"
-            assert session_stats()["pool_mode"] == "thread"
-            resp = server.request(_predict(id=1, window=24))
-            assert resp["ok"] is True
-        finally:
-            server.stop()
-        # served answer matches the serial server's despite the downgrade
-        with PredictionServer() as serial:
-            ref = serial.request(_predict(id=1, window=24))
-        assert resp["result"] == ref["result"]
 
 
 class TestStdioFrontend:

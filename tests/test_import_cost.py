@@ -4,7 +4,10 @@
 :mod:`repro.bench.harness` / :mod:`repro.serve.server`; neither needs
 scipy (only the NPB CG/LU numerics do, and they import it when they
 run), so a fresh interpreter importing them must not load it — nor
-``numpy.testing`` or ``unittest``, which scipy drags in.
+``numpy.testing`` or ``unittest``, which scipy drags in.  Neither runs a
+process pool either: only :mod:`repro.engine.shard` forks, and it
+imports the pool machinery (``multiprocessing``,
+``concurrent.futures.process``) when a batch is sharded.
 """
 
 import subprocess
@@ -12,7 +15,8 @@ import sys
 
 import pytest
 
-HEAVY = ("scipy", "numpy.testing", "unittest")
+HEAVY = ("scipy", "numpy.testing", "unittest", "multiprocessing",
+         "concurrent.futures.process")
 
 
 @pytest.mark.parametrize("module", ["repro.bench.harness",

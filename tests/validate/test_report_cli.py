@@ -83,7 +83,7 @@ class TestParseCommand:
         ["cache", "show", "--json"],
         ["serve", "--stdin"],
         ["serve", "--port", "7080", "--batch-window", "2", "--max-batch",
-         "64", "--workers", "4"],
+         "64"],
         ["machines", "report", "--out", "machines.json"],
     ])
     def test_valid_invocations(self, argv):
@@ -108,7 +108,7 @@ class TestParseCommand:
         ["cache", "clear", "--json"],
         ["serve", "--port", "many"],
         ["serve", "--batch-window", "-1"],
-        ["serve", "--workers", "0"],
+        ["serve", "--workers", "2"],  # retired: serve runs in one process
         ["serve", "--frobnicate"],
         ["bench", "--quick"],  # retired: the benchmark is benchmarks/e2e
     ])
